@@ -8,12 +8,13 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from mcdesign import cli  # noqa: E402
+from mcdesign.scenarios import SCENARIOS  # noqa: E402
 
 
 def main():
     outdir = sys.argv[1] if len(sys.argv) > 1 else "out"
     failures = 0
-    for name in cli.BUNDLED:
+    for name in SCENARIOS:
         t0 = time.time()
         cfg = cli.load_config(name)
         code, manifest = cli.run_scenario(cfg, os.path.join(outdir, name))

@@ -1,7 +1,11 @@
 """Scenario runner: ``mcdesign run|list|validate``.
 
 Configs are JSON (schema 1): name, scenario dispatch key, parameters and a
-list of assertions over the scenario's named metrics.  ``run`` emits one CSV
+list of assertions over the scenario's named metrics.  Each scenario key has
+one bundled config (``configs/<key>.json`` in this package), the only record
+of its default parameters; a user config's ``params`` overlay those defaults
+and may only name keys the bundled config has, with values of the same JSON
+type.  ``run`` emits one CSV
 per output table (17 significant digits, written atomically) and a JSON
 manifest with parameters, derived quantities and every assertion's measured
 value.  Exit codes: 0 pass, 2 config error, 3 numerical error, 4 assertion
@@ -16,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from importlib import resources
 
 import numpy as np
 
@@ -49,6 +54,8 @@ class ConfigError(ValueError):
 
 
 def validate_config(cfg: dict) -> dict:
+    """Schema-check ``cfg``; returns it with ``params`` complete, the bundled
+    defaults overlaid with the config's own."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     if cfg.get("schema") != 1:
@@ -63,6 +70,12 @@ def validate_config(cfg: dict) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("field 'params': expected an object")
+    defaults = bundled_config(key)["params"]
+    for field, value in params.items():
+        if field not in defaults:
+            raise ConfigError(f"params.{field}: not a parameter of scenario {key!r}; "
+                              f"known: {', '.join(sorted(defaults))}")
+        _check_type(f"params.{field}", value, defaults[field])
     assertions = cfg.get("assertions", [])
     if not isinstance(assertions, list):
         raise ConfigError("field 'assertions': expected a list")
@@ -74,7 +87,32 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"assertions[{i}].op: unknown operator {a['op']!r}")
         if not isinstance(a["value"], (int, float)):
             raise ConfigError(f"assertions[{i}].value: expected a number")
-    return cfg
+    return {**cfg, "params": {**defaults, **params}}
+
+
+def _json_type(value) -> str:
+    for kind, types in (("boolean", bool), ("integer", int), ("number", float),
+                        ("string", str), ("list", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
+def _check_type(field: str, value, default):
+    """``value`` must have the JSON type of the bundled default; an integer
+    passes for a number, lists are checked element by element."""
+    want, got = _json_type(default), _json_type(value)
+    if got != want and not (want == "number" and got == "integer"):
+        raise ConfigError(f"{field}: expected {want}, got {json.dumps(value)}")
+    if want == "list" and default:
+        for i, item in enumerate(value):
+            _check_type(f"{field}[{i}]", item, default[0])
+
+
+def bundled_config(key: str) -> dict:
+    """The bundled config of scenario ``key``."""
+    path = resources.files(__package__).joinpath("configs", f"{key}.json")
+    return json.loads(path.read_text())
 
 
 def load_config(ref: str) -> dict:
@@ -86,8 +124,8 @@ def load_config(ref: str) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{ref}: invalid JSON ({exc})") from exc
         return validate_config(cfg)
-    if ref in BUNDLED:
-        return validate_config(json.loads(json.dumps(BUNDLED[ref])))
+    if ref in scenarios.SCENARIOS:
+        return validate_config(bundled_config(ref))
     raise ConfigError(f"{ref!r} is neither a config file nor a bundled scenario name")
 
 
@@ -130,7 +168,7 @@ def run_scenario(cfg: dict, outdir: str, overrides: dict | None = None):
     overrides = dict(overrides or {})
     os.makedirs(outdir, exist_ok=True)
     fn = scenarios.SCENARIOS[cfg["scenario"]]
-    tables, metrics, derived = fn(cfg.get("params", {}), overrides)
+    tables, metrics, derived = fn(cfg["params"], overrides)
     files = []
     for tname, table in tables.items():
         path = os.path.join(outdir, f"{cfg['name']}_{tname}.csv")
@@ -152,7 +190,7 @@ def run_scenario(cfg: dict, outdir: str, overrides: dict | None = None):
         "schema": 1,
         "name": cfg["name"],
         "scenario": cfg["scenario"],
-        "params": _jsonable(cfg.get("params", {})),
+        "params": _jsonable(cfg["params"]),
         "overrides": _jsonable(overrides),
         "metrics": _jsonable(metrics),
         "derived": _jsonable(derived),
@@ -184,7 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name in BUNDLED:
+        for name in scenarios.SCENARIOS:
             print(name)
         return 0
     try:
@@ -208,267 +246,6 @@ def main(argv=None) -> int:
               f"{a['op']} {a['value']}")
     print(f"{cfg['name']}: {'all assertions passed' if code == 0 else 'ASSERTIONS FAILED'}")
     return code
-
-
-# ---------------------------------------------------------------------------
-# bundled configs (one per scenario; annotated through "notes")
-
-BUNDLED = {
-    "fig1": {
-        "schema": 1,
-        "name": "fig1",
-        "scenario": "fig1",
-        "notes": "Box width pi with 1e6 walls; rake ratio and energy lift are "
-                 "illustrative values, not published parameters.",
-        "params": {"width": math.pi, "wall_height": 1.0e6, "swv_ratio": 0.5,
-                   "energy_lift": 0.8, "levels": 3},
-        "assertions": [
-            {"name": "rake keeps the spectrum", "metric": "rake_level_shift_max",
-             "op": "<=", "value": 1e-5},
-            {"name": "rake scales the origin weight", "metric": "rake_c_ratio_error",
-             "op": "<=", "value": 1e-5},
-            {"name": "barrier precedes the well", "metric": "rake_barrier_height",
-             "op": ">", "value": 0.05},
-            {"name": "well follows the barrier", "metric": "rake_well_depth",
-             "op": "<", "value": -0.05},
-            {"name": "lifted level lands on target", "metric": "lift_level_error",
-             "op": "<=", "value": 1e-5},
-            {"name": "other levels pinned", "metric": "lift_other_levels_max",
-             "op": "<=", "value": 1e-5},
-        ],
-    },
-    "fig2": {
-        "schema": 1,
-        "name": "fig2",
-        "scenario": "fig2",
-        "notes": "Well depth/width and the embedded energy are illustrative.",
-        "params": {"width": math.pi, "depth": 5.0, "embedded_energy": 2.0,
-                   "carrier_ratio": 0.3},
-        "assertions": [
-            {"name": "embedded state has a power tail", "metric": "bsec_tail_is_power_law",
-             "op": "==", "value": 1.0},
-            {"name": "carrier well sits outside the base well",
-             "metric": "carrier_well_position", "op": ">", "value": math.pi},
-            {"name": "carried level unchanged", "metric": "carrier_level_shift",
-             "op": "<=", "value": 1e-5},
-        ],
-    },
-    "fig3": {
-        "schema": 1,
-        "name": "fig3",
-        "scenario": "fig3",
-        "notes": "Base matrix -5 with 0.3 coupling on [0, pi], thresholds (0, 1); "
-                 "channel-1 asymptotic weight boosted by 1e7.",
-        "params": {"depth": -5.0, "coupling": 0.3, "weight_factor": 1.0e7},
-        "assertions": [
-            {"name": "second channel almost empty", "metric": "channel2_norm_fraction",
-             "op": "<", "value": 0.01},
-            {"name": "level undisturbed", "metric": "level_drift",
-             "op": "<=", "value": 1e-5},
-            {"name": "level count unchanged", "metric": "level_count_change",
-             "op": "==", "value": 0.0},
-            {"name": "scattering matrix untouched", "metric": "s_preservation",
-             "op": "<=", "value": 1e-4},
-            {"name": "state stays normalized", "metric": "state_norm_defect",
-             "op": "<=", "value": 1e-6},
-        ],
-    },
-    "fig4": {
-        "schema": 1,
-        "name": "fig4",
-        "scenario": "fig4",
-        "notes": "Free two-channel motion, equal thresholds; degenerate pair at "
-                 "-0.5 with weights (1,1) and (1, m2) for m2 in the sweep.",
-        "params": {"energy": -0.5, "second_weights": [1.01, 1.001, 1.0001]},
-        "assertions": [
-            {"name": "two states at one energy", "metric": "degenerate_count",
-             "op": "==", "value": 2.0},
-            {"name": "degenerate energies exact", "metric": "degenerate_energy_error",
-             "op": "<=", "value": 1e-6},
-            {"name": "left block walks out monotonically", "metric": "centroid_monotone",
-             "op": "==", "value": 1.0},
-            {"name": "pair stays orthonormal", "metric": "pair_norm_defect",
-             "op": "<=", "value": 1e-5},
-        ],
-    },
-    "fig5": {
-        "schema": 1,
-        "name": "fig5",
-        "scenario": "fig5",
-        "notes": "Thresholds (1, 2) chosen here so that 0.5 and 0.501 are true "
-                 "bound energies; they are not published values.",
-        "params": {"thresholds": [1.0, 2.0], "energy_1": 0.5, "energy_2": 0.501,
-                   "weights_1": [0.0, 1.0], "weights_2": [1.0, 0.1]},
-        "assertions": [
-            {"name": "both levels present", "metric": "levels_found",
-             "op": "==", "value": 2.0},
-            {"name": "levels exact", "metric": "level_error_max",
-             "op": "<=", "value": 1e-6},
-            {"name": "states live in the main block", "metric": "right_fraction_min",
-             "op": ">=", "value": 0.99},
-            {"name": "empty block detaches leftward", "metric": "split_position",
-             "op": "<", "value": -3.0},
-            {"name": "detached block nearly transparent",
-             "metric": "left_block_transparency", "op": ">", "value": 0.9},
-        ],
-    },
-    "fig6": {
-        "schema": 1,
-        "name": "fig6",
-        "scenario": "fig6",
-        "notes": "Comb parameters V1=6, V2=5, W=1, period pi, thresholds (0, 1).",
-        "params": {"v1": 6.0, "v2": 5.0, "w": 1.0, "period": math.pi,
-                   "thresholds": [0.0, 1.0], "energy_range": [-1.0, 20.0],
-                   "samples": 2000},
-        "assertions": [
-            {"name": "monodromy agrees with the closed form",
-             "metric": "monodromy_agreement", "op": "<=", "value": 1e-6},
-            {"name": "coupling off reduces exactly", "metric": "w0_reduction_max_dev",
-             "op": "<=", "value": 1e-12},
-            {"name": "crossings open into quasi-crossings",
-             "metric": "quasi_crossing_gap_min", "op": ">", "value": 0.0},
-        ],
-    },
-    "transparency": {
-        "schema": 1,
-        "name": "transparency",
-        "scenario": "transparency",
-        "notes": "Created level at -0.5 with weights (1,1) on thresholds (0,1).",
-        "params": {"thresholds": [0.0, 1.0], "energy": -0.5, "weights": [1.0, 1.0],
-                   "probe_energies": [1.5, 2.0, 4.0]},
-        "assertions": [
-            {"name": "exactly one level", "metric": "level_count", "op": "==",
-             "value": 1.0},
-            {"name": "level at the requested energy", "metric": "level_error",
-             "op": "<=", "value": 1e-6},
-            {"name": "no reflection", "metric": "reflection_max", "op": "<=",
-             "value": 1e-3},
-            {"name": "left tails are anomalous", "metric": "anomaly_rel_error",
-             "op": "<=", "value": 0.02},
-            {"name": "effective potential saturates", "metric": "asymptote_error",
-             "op": "<=", "value": 1e-6},
-            {"name": "reduced equation holds", "metric": "reduction_residual",
-             "op": "<=", "value": 1e-5},
-        ],
-    },
-    "bsec_tails": {
-        "schema": 1,
-        "name": "bsec_tails",
-        "scenario": "bsec_tails",
-        "notes": "Embedded energy 0.5 sits between the thresholds (0, 1) of the "
-                 "coupled base well.",
-        "params": {"depth": -5.0, "coupling": 0.3, "energy": 0.5},
-        "assertions": [
-            {"name": "matched weights give a power tail",
-             "metric": "matched_is_power_law", "op": "==", "value": 1.0},
-            {"name": "power-law exponent near -1", "metric": "matched_slope_error",
-             "op": "<=", "value": 0.1},
-            {"name": "perturbed weights decay exponentially",
-             "metric": "perturbed_is_exponential", "op": "==", "value": 1.0},
-        ],
-    },
-    "resonance_widths": {
-        "schema": 1,
-        "name": "resonance_widths",
-        "scenario": "resonance_widths",
-        "notes": "Barrier geometries are chosen so both channels resonate at one "
-                 "energy with widths an order of magnitude apart.",
-        "params": {"height_1": 12.0, "width_1": 0.5, "gap_1": 2.2,
-                   "height_2": 30.0, "width_2": 0.7, "gap_2_start": 2.0,
-                   "bound_energy": -0.5, "weights": [1.0, 1.0]},
-        "assertions": [
-            {"name": "widths differ per entrance channel", "metric": "coupled_ratio",
-             "op": ">", "value": 2.0},
-            {"name": "ratio matches the uncoupled one", "metric": "ratio_rel_error",
-             "op": "<=", "value": 0.3},
-            {"name": "strong coupling present", "metric": "coupling_strength",
-             "op": ">", "value": 0.05},
-        ],
-    },
-    "resonance_tunneling": {
-        "schema": 1,
-        "name": "resonance_tunneling",
-        "scenario": "resonance_tunneling",
-        "notes": "Channel 1 carries a transparent double barrier, channel 2 a "
-                 "thick single barrier; a common level at -0.5 couples them.",
-        "params": {"height_1": 12.0, "width_1": 0.5, "gap_1": 2.2,
-                   "height_2": 8.0, "width_2": 1.4, "bound_energy": -0.5,
-                   "weights": [1.0, 1.0]},
-        "assertions": [
-            {"name": "channel-1 incidence tunnels", "metric": "channel1_transmission",
-             "op": ">", "value": 0.99},
-            {"name": "channel-2 incidence reflects", "metric": "channel2_reflection",
-             "op": ">", "value": 0.5},
-            {"name": "the common level exists", "metric": "bound_level_error",
-             "op": "<=", "value": 1e-5},
-            {"name": "coupling is on", "metric": "coupling_strength",
-             "op": ">", "value": 0.05},
-        ],
-    },
-    "leftright_asymmetry": {
-        "schema": 1,
-        "name": "leftright_asymmetry",
-        "scenario": "leftright_asymmetry",
-        "notes": "A one-sided barrier and an offset coupling block make the "
-                 "channel-resolved transmissions side-dependent.",
-        "params": {"probe_energy": 3.0, "barrier": 6.0, "coupling": 2.5},
-        "assertions": [
-            {"name": "transmission depends on the side", "metric": "asymmetry",
-             "op": ">", "value": 0.02},
-            {"name": "S stays unitary", "metric": "unitarity_defect",
-             "op": "<=", "value": 1e-6},
-            {"name": "total current conserved", "metric": "flux_rel_variation",
-             "op": "<=", "value": 1e-8},
-        ],
-    },
-    "susy_flip": {
-        "schema": 1,
-        "name": "susy_flip",
-        "scenario": "susy_flip",
-        "notes": "Partner of the fig6 comb at factorization energy -2.",
-        "params": {"v1": 6.0, "v2": 5.0, "w": 1.0, "period": math.pi,
-                   "thresholds": [0.0, 1.0], "factorization_energy": -2.0},
-        "assertions": [
-            {"name": "every delta flips exactly", "metric": "delta_flip_defect",
-             "op": "==", "value": 0.0},
-            {"name": "flipped comb matches its monodromy",
-             "metric": "partner_band_monodromy_dev", "op": "<=", "value": 1e-6},
-        ],
-    },
-    "gap_creation": {
-        "schema": 1,
-        "name": "gap_creation",
-        "scenario": "gap_creation",
-        "notes": "Constant block [[-12,1],[1,-9]] on one period; scalar rake 0.8.",
-        "params": {"period": math.pi, "swv_ratio": 0.8,
-                   "block": [[-12.0, 1.0], [1.0, -9.0]],
-                   "thresholds": [0.0, 0.0], "mode": 1, "branch": 0},
-        "assertions": [
-            {"name": "growth factor exceeds one", "metric": "theta", "op": ">",
-             "value": 1.0},
-            {"name": "growth factor is the predicted one", "metric": "theta_error",
-             "op": "<=", "value": 1e-4},
-            {"name": "factor is channel independent", "metric": "alpha_spread",
-             "op": "<=", "value": 1e-4},
-            {"name": "four periods grow accordingly",
-             "metric": "four_period_growth_dev", "op": "<=", "value": 0.05},
-        ],
-    },
-    "level_splitting": {
-        "schema": 1,
-        "name": "level_splitting",
-        "scenario": "level_splitting",
-        "notes": "Identical box branches with constant coupling 2 split by +-2.",
-        "params": {"width": math.pi, "wall_height": 4.0e6, "coupling": 2.0,
-                   "levels": 3},
-        "assertions": [
-            {"name": "all split levels found", "metric": "level_count",
-             "op": "==", "value": 6.0},
-            {"name": "levels split by the coupling", "metric": "split_rel_error_max",
-             "op": "<=", "value": 1e-3},
-        ],
-    },
-}
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ the integral running from the anchor (the origin for regular-solution data,
 and any base solution psi maps to psi + A(x) * integral(F^T psi).  The
 normalized wave function attached to term j is s_j F S (I + G S)^{-1} e_j.
 All derivatives are evaluated analytically via the product rule, never by
-differencing.
+differencing.  A single origin term has the closed form ``rank_one``, which
+the composed Darboux transforms and the BSEC far field share.
 
 Numerical care: every Gram entry is accumulated from the side where it
 vanishes, with analytic exponential tails beyond the grid.  The diagonal
@@ -49,11 +50,8 @@ def interval_contributions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros((m,) + y.shape[1:], dtype=y.dtype)
     h = np.diff(x)
     # uniform runs: split where the spacing changes
-    breaks = [0]
-    for i in range(1, m):
-        if not np.isclose(h[i], h[i - 1], rtol=1e-9, atol=0.0):
-            breaks.append(i)
-    breaks.append(m)
+    changes = np.flatnonzero(~np.isclose(h[1:], h[:-1], rtol=1e-9, atol=0.0)) + 1
+    breaks = [0, *changes.tolist(), m]
     for a, b in zip(breaks, breaks[1:]):
         n_int = b - a
         hh = h[a]
@@ -89,6 +87,28 @@ def cumulative_from_end(x, y, tail=0.0):
     out = np.zeros((len(x),) + y.shape[1:], dtype=y.dtype)
     out[:-1] = np.cumsum(c[::-1], axis=0)[::-1]
     return out + tail
+
+
+def rank_one(x, u, du, den, lam):
+    """Closed-form one-term dressing with D' = lam u^T u.
+
+    ``u``/``du`` are channel-vector samples (m, N) on the points ``x`` and
+    ``den`` is D on the same points, e.g. c + lam * integral of u^T u.
+    Returns dV = -2 d/dx [lam u u^T / D] (m, N, N) together with u/D and
+    (u/D)', derivatives taken by the product rule.  A non-positive D is a
+    forbidden parameter combination and raises with its location.
+    """
+    bad = ~(den > 0)
+    if np.any(bad):
+        raise SingularTransformError(float(x[int(np.argmax(bad))]))
+    dden = lam * np.sum(u ** 2, axis=1)
+    outer = np.einsum("ma,mb->mab", u, u)
+    douter = np.einsum("ma,mb->mab", du, u) + np.einsum("ma,mb->mab", u, du)
+    dv = -2.0 * lam * (douter * den[:, None, None] - outer * dden[:, None, None]) \
+        / den[:, None, None] ** 2
+    psi = u / den[:, None]
+    dpsi = (du * den[:, None] - u * dden[:, None]) / den[:, None] ** 2
+    return dv, psi, dpsi
 
 
 @dataclass

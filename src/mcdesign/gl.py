@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .domain import (BoundState, ChannelSystem, GridSampled, MatrixSolution,
                      SumPotential, make_datum)
-from .dressing import Dressing, DressingTerm
-from .errors import ConfigurationError, SingularTransformError
+from .dressing import Dressing, DressingTerm, cumulative_from_start, rank_one
+from .errors import ConfigurationError
 from . import engine
 from .engine import SolverConfig
 
@@ -50,51 +49,6 @@ class GlTransformSpec:
         same_e = abs(self.new_energy - self.state.energy) < 1e-14
         return same_e and np.allclose(self.new_weights, self.state.c_datum.weights,
                                       rtol=1e-14, atol=0.0)
-
-
-@dataclass
-class OneChannelScale:
-    potential: GridSampled
-    system: ChannelSystem
-    grid: np.ndarray
-    state_values: np.ndarray
-    state_derivatives: np.ndarray
-    delta_v: np.ndarray
-
-
-def swv_scale_one_channel(system: ChannelSystem, state: BoundState,
-                          ratio: float) -> OneChannelScale:
-    """Scale the origin derivative of a one-channel bound state by ``ratio``.
-
-    V(x) = V0(x) - 2 d/dx [(r^2 - 1) psi0^2 / D],  D = 1 + (r^2-1) I(x),
-    I(x) = int_0^x psi0^2, and the transformed state is r psi0 / D (which
-    restores psi0 at r = 1, carries norm 1 and psi'(0) = r psi0'(0)).
-    """
-    if system.n_channels != 1:
-        raise ConfigurationError("swv_scale_one_channel expects a one-channel system")
-    if ratio <= 0:
-        raise ConfigurationError("ratio must be positive")
-    xs = state.grid
-    psi = state.values[:, 0]
-    dpsi = state.derivatives[:, 0]
-    lam = ratio ** 2 - 1.0
-    integ = cumulative_simpson(psi ** 2, x=xs, initial=0.0)
-    den = 1.0 + lam * integ
-    if np.any(den <= 0) or np.min(den) < 1e-12:
-        raise SingularTransformError(float(xs[int(np.argmax(den <= 1e-12))]))
-    num = lam * psi ** 2
-    dnum = 2.0 * lam * psi * dpsi
-    dden = lam * psi ** 2
-    dv = -2.0 * (dnum * den - num * dden) / den ** 2
-    new_psi = ratio * psi / den
-    new_dpsi = ratio * (dpsi * den - psi * dden) / den ** 2
-    dv_pot = GridSampled(xs, dv[:, None, None])
-    pot = SumPotential([(1.0, system.potential), (1.0, dv_pot)],
-                       params={"transform": "swv_scale_one_channel",
-                               "ratio": float(ratio), "energy": state.energy})
-    new_system = replace(system, potential=pot)
-    return OneChannelScale(pot, new_system, xs, new_psi[:, None], new_dpsi[:, None],
-                           dv[:, None, None])
 
 
 @dataclass
@@ -237,22 +191,16 @@ class FarField:
                     + 2 * c * d * xi + d * d * (np.expm1(2 * ka * xi)) / (2 * ka)
         return total
 
-    def state(self, xs):
+    def _dressed(self, xs):
         vals, ders = self.u(xs)
-        den = self.den(xs)
-        dden = np.sum(vals ** 2, axis=1)
-        psi = vals / den[:, None]
-        dpsi = (ders * den[:, None] - vals * dden[:, None]) / den[:, None] ** 2
+        return rank_one(xs, vals, ders, self.den(xs), 1.0)
+
+    def state(self, xs):
+        _, psi, dpsi = self._dressed(xs)
         return psi, dpsi
 
     def delta_v(self, xs):
-        vals, ders = self.u(xs)
-        den = self.den(xs)
-        dden = np.sum(vals ** 2, axis=1)
-        outer = np.einsum("ma,mb->mab", vals, vals)
-        douter = np.einsum("ma,mb->mab", ders, vals) + np.einsum("ma,mb->mab", vals, ders)
-        return -2.0 * (douter * den[:, None, None] - outer * dden[:, None, None]) \
-            / den[:, None, None] ** 2
+        return self._dressed(xs)[0]
 
     def envelope(self, xs):
         """Oscillation-free amplitude of the embedded state per channel."""
@@ -386,16 +334,9 @@ def create_bsec(system: ChannelSystem, energy: float, weights,
         if cos > 1.0 - 1e-9:
             matched = True
             d[~open_mask] = 0.0         # exact cancellation of growing parts
-    integ = cumulative_simpson(np.sum(u ** 2, axis=1), x=xs, initial=0.0)
-    den = 1.0 + integ
+    den = 1.0 + cumulative_from_start(xs, np.sum(u ** 2, axis=1))
     far = FarField(x_j, open_mask, k, p, q, c, d, float(den[-1]))
-    psi = u / den[:, None]
-    dden = np.sum(u ** 2, axis=1)
-    dpsi = (du * den[:, None] - u * dden[:, None]) / den[:, None] ** 2
-    outer = np.einsum("ma,mb->mab", u, u)
-    douter = np.einsum("ma,mb->mab", du, u) + np.einsum("ma,mb->mab", u, du)
-    dv = -2.0 * (douter * den[:, None, None] - outer * dden[:, None, None]) \
-        / den[:, None, None] ** 2
+    dv, psi, dpsi = rank_one(xs, u, du, den, 1.0)
     dv_pot = BsecPotential(xs, dv, far,
                            params={"transform": "bsec", "energy": float(energy),
                                    "weights": [float(w) for w in weights],

@@ -43,6 +43,17 @@ def _coupled_well(depth=-5.0, coupling=0.3, width=math.pi):
     return PiecewiseConstant(2, pieces=[(0.0, width, m)])
 
 
+def _first_level(states, where):
+    if not states:
+        raise ConfigurationError(f"no bound state found in the {where}")
+    return states[0]
+
+
+def _comb_spec(params):
+    strength = np.array([[params["v1"], params["w"]], [params["w"], params["v2"]]])
+    return bands.CombSpec(params["period"], strength, tuple(params["thresholds"]))
+
+
 def _norm_fraction(state, channel):
     total = simpson(np.sum(state.values ** 2, axis=1), x=state.grid)
     part = simpson(state.values[:, channel] ** 2, x=state.grid)
@@ -54,27 +65,29 @@ def _norm_fraction(state, channel):
 
 def scenario_fig1(params, overrides):
     """Uncoupled box branches: rake one state in x, lift one level in E."""
-    width = params.get("width", math.pi)
-    wall = params.get("wall_height", 1.0e6)
-    ratio = params.get("swv_ratio", 0.5)
-    lift = params.get("energy_lift", 0.8)
-    n_levels = params.get("levels", 3)
+    width = params["width"]
+    wall = params["wall_height"]
+    ratio = params["swv_ratio"]
+    lift = params["energy_lift"]
+    n_levels = params["levels"]
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.05)
     x_max = _xmax(overrides, width + 0.2)
     box = PiecewiseConstant(1, pieces=[(width, math.inf, [[wall]])])
     system = ChannelSystem((0.0,), box, "half_line", x_max)
     window = (0.2, (n_levels + 0.5) ** 2)
     states = engine.find_bound_states(system, window, cfg)
-    gs = states[0]
+    gs = _first_level(states, "search window")
 
-    scaled = gl.swv_scale_one_channel(system, gs, ratio)
+    scaled = susy.double_susy_swv_scale(system, gs, ratio)
     states_scaled = engine.find_bound_states(scaled.system, window, cfg)
+    raked_gs = _first_level(states_scaled, "raked system")
 
     spec = gl.GlTransformSpec(system=system, state=gs, new_energy=gs.energy + lift,
                               new_weights=gs.c_datum.weights)
     phi_new = engine.integrate_regular(system, spec.new_energy, cfg)
     lifted = gl.transform_bound_state(spec, phi_new, cfg)
     states_lifted = engine.find_bound_states(lifted.system, window, cfg)
+    _first_level(states_lifted, "lifted system")
 
     xs = scaled.grid
     dv1 = scaled.delta_v[:, 0, 0]
@@ -99,7 +112,7 @@ def scenario_fig1(params, overrides):
         "rake_barrier_height": float(left.max()),
         "rake_well_depth": float(right.min()),
         "rake_level_shift_max": float(max(shift_errors)),
-        "rake_c_ratio_error": abs(abs(states_scaled[0].c_datum.weights[0]
+        "rake_c_ratio_error": abs(abs(raked_gs.c_datum.weights[0]
                                       / gs.c_datum.weights[0]) - ratio),
         "lift_level_error": float(lift_errors[0]),
         "lift_other_levels_max": float(max(lift_errors[1:]) if lift_errors[1:] else 0.0),
@@ -112,17 +125,19 @@ def scenario_fig1(params, overrides):
 
 def scenario_fig2(params, overrides):
     """Scattering state raked into an embedded state; soliton carrier."""
-    width = params.get("width", math.pi)
-    depth = params.get("depth", 5.0)
-    e_emb = params.get("embedded_energy", 2.0)
-    ratio = params.get("carrier_ratio", 0.3)
+    width = params["width"]
+    depth = params["depth"]
+    e_emb = params["embedded_energy"]
+    ratio = params["carrier_ratio"]
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.05)
     x_max = _xmax(overrides, 30.0)
     well = PiecewiseConstant(1, pieces=[(0.0, width, [[-depth]])])
     system = ChannelSystem((0.0,), well, "half_line", x_max)
     bsec = gl.create_bsec(system, e_emb, [1.0], cfg, fit_window=(30.0, 150.0))
-    states = engine.find_bound_states(system, (-depth + 0.01, -0.05), cfg)
-    carried = gl.swv_scale_one_channel(system, states[0], ratio)
+    window = (-depth + 0.01, -0.05)
+    states = engine.find_bound_states(system, window, cfg)
+    gs = _first_level(states, "search window")
+    carried = susy.double_susy_swv_scale(system, gs, ratio)
     xs = carried.grid
     dv = carried.delta_v[:, 0, 0]
     outside = xs > width + 0.05
@@ -133,29 +148,29 @@ def scenario_fig2(params, overrides):
         "embedded_state": _table({"x": np.concatenate([bsec.grid, far]),
                                   "psi": np.concatenate([bsec.state_values[:, 0],
                                                          psi_far[:, 0]])}),
-        "carrier": _table({"x": xs, "dV": dv, "psi0": states[0].values[:, 0],
+        "carrier": _table({"x": xs, "dV": dv, "psi0": gs.values[:, 0],
                            "psi": carried.state_values[:, 0]}),
     }
     metrics = {
         "bsec_tail_is_power_law": 1.0 if bsec.tail_kind == "power_law" else 0.0,
         "bsec_tail_slope": bsec.tail_slope_loglog,
         "carrier_well_position": float(xs[i_min]),
-        "carrier_level_shift": abs(
-            engine.find_bound_states(carried.system, (-depth + 0.01, -0.05),
-                                     cfg)[0].energy - states[0].energy),
+        "carrier_level_shift": abs(_first_level(
+            engine.find_bound_states(carried.system, window, cfg),
+            "carrier system").energy - gs.energy),
     }
     return tables, metrics, {"base_levels": [s.energy for s in states]}
 
 
 def scenario_fig3(params, overrides):
     """Concentration of a bound state in one channel by an asymptotic-weight boost."""
-    factor = params.get("weight_factor", 1e7)
+    factor = params["weight_factor"]
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.05)
     x_max = _xmax(overrides, 30.0)
-    pot = _coupled_well(params.get("depth", -5.0), params.get("coupling", 0.3))
+    pot = _coupled_well(params["depth"], params["coupling"])
     system = ChannelSystem((0.0, 1.0), pot, "half_line", x_max)
     states = engine.find_bound_states(system, (-4.99, -0.02), cfg)
-    gs = states[0]
+    gs = _first_level(states, "search window")
     new_m = gs.m_datum.weights * np.array([factor, 1.0])
     moved = marchenko.move_level(system, gs, gs.energy, new_m, cfg)
     st = moved.state
@@ -177,7 +192,7 @@ def scenario_fig3(params, overrides):
     }
     metrics = {
         "channel2_norm_fraction": frac2,
-        "level_drift": abs(states_new[0].energy - gs.energy),
+        "level_drift": abs(_first_level(states_new, "moved system").energy - gs.energy),
         "level_count_change": float(len(states_new) - len(states)),
         "s_preservation": s_dev,
         "state_norm_defect": abs(simpson(np.sum(st.values ** 2, axis=1), x=xs) - 1.0),
@@ -187,8 +202,8 @@ def scenario_fig3(params, overrides):
 
 def scenario_fig4(params, overrides):
     """Two degenerate levels; dependence direction controls block separation."""
-    e_b = params.get("energy", -0.5)
-    sweep = params.get("second_weights", [1.01, 1.001, 1.0001])
+    e_b = params["energy"]
+    sweep = params["second_weights"]
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.02)
     x_max = _xmax(overrides, 40.0)
     thresholds = (0.0, 0.0)
@@ -243,11 +258,11 @@ def _split_point(xs, depth):
 
 def scenario_fig5(params, overrides):
     """Nearly degenerate pair with independent weights: an empty block splits off."""
-    thresholds = tuple(params.get("thresholds", (1.0, 2.0)))
-    e1 = params.get("energy_1", 0.5)
-    e2 = params.get("energy_2", 0.501)
-    m1 = params.get("weights_1", [0.0, 1.0])
-    m2 = params.get("weights_2", [1.0, 0.1])
+    thresholds = tuple(params["thresholds"])
+    e1 = params["energy_1"]
+    e2 = params["energy_2"]
+    m1 = params["weights_1"]
+    m2 = params["weights_2"]
     gap = max(abs(e2 - e1), 1e-3)
     cfg = _cfg(overrides, step=1e-3, bracket_step=gap / 5.0)
     x_max = _xmax(overrides, 40.0)
@@ -300,13 +315,10 @@ def _window_potential(potential, xs, lo, hi):
 
 def scenario_fig6(params, overrides):
     """Coupled-comb band structure vs the uncoupled overlay."""
-    spec = bands.CombSpec(params.get("period", math.pi),
-                          np.array([[params.get("v1", 6.0), params.get("w", 1.0)],
-                                    [params.get("w", 1.0), params.get("v2", 5.0)]]),
-                          tuple(params.get("thresholds", (0.0, 1.0))))
+    spec = _comb_spec(params)
     cfg = _cfg(overrides, step=1e-3)
-    e_range = tuple(params.get("energy_range", (-1.0, 20.0)))
-    diagram = bands.scan_zones(spec, e_range, params.get("samples", 2000))
+    e_range = tuple(params["energy_range"])
+    diagram = bands.scan_zones(spec, e_range, params["samples"])
     # monodromy cross-check on a probe subset
     probes = np.linspace(e_range[0] + 0.37, e_range[1] - 0.11, 41)
     worst = 0.0
@@ -354,15 +366,15 @@ def scenario_fig6(params, overrides):
 
 def scenario_transparency(params, overrides):
     """One created level on free motion: transparency, tails, reduction."""
-    thresholds = tuple(params.get("thresholds", (0.0, 1.0)))
-    e_b = params.get("energy", -0.5)
-    weights = np.asarray(params.get("weights", [1.0, 1.0]), dtype=float)
+    thresholds = tuple(params["thresholds"])
+    e_b = params["energy"]
+    weights = np.asarray(params["weights"], dtype=float)
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.02)
     x_max = _xmax(overrides, 40.0)
     res = marchenko.create_reflectionless(thresholds, e_b, weights, x_max)
     found = engine.find_bound_states(res.system, (e_b - 0.8, min(thresholds) - 0.05), cfg)
     refl = {}
-    for e in params.get("probe_energies", (1.5, 2.0, 4.0)):
+    for e in params["probe_energies"]:
         d = engine.scattering_matrix(res.system, float(e), cfg)
         refl[e] = float(np.max(np.abs(d.reflection_right)))
     report = marchenko.asymptotic_anomaly_report(thresholds, e_b, weights)
@@ -390,10 +402,10 @@ def scenario_transparency(params, overrides):
 
 def scenario_bsec_tails(params, overrides):
     """Embedded-state tails: matched weights give 1/x, any other exponential."""
-    e_emb = params.get("energy", 0.5)
+    e_emb = params["energy"]
     cfg = _cfg(overrides, step=1e-3)
     x_max = _xmax(overrides, 30.0)
-    pot = _coupled_well(params.get("depth", -5.0), params.get("coupling", 0.3))
+    pot = _coupled_well(params["depth"], params["coupling"])
     system = ChannelSystem((0.0, 1.0), pot, "half_line", x_max)
     matched = gl.matched_bsec_weights(system, e_emb, cfg)
     res_m = gl.create_bsec(system, e_emb, matched, cfg, fit_window=(50.0, 200.0))
@@ -430,29 +442,32 @@ def _single_barrier(height, width, n_channels=1, channel=0, center=0.0):
     return [(center - width / 2.0, center + width / 2.0, h)]
 
 
-def _resonance_of(pieces, e_lo, e_hi, cfg, channel=0, n_channels=1):
-    pot = PiecewiseConstant(n_channels, pieces=pieces)
-    thresholds = (0.0,) * n_channels
-    sysb = ChannelSystem(thresholds, pot, "whole_line", 12.0)
-    est = engine.estimate_resonance_width(sysb, 0.5 * (e_lo + e_hi),
-                                          0.5 * (e_hi - e_lo), channel, cfg)
+def _resonance(system, center, half_width, channel, cfg):
+    est = engine.estimate_resonance_width(system, center, half_width, channel, cfg)
     if est is None:
-        raise ConfigurationError("no resonance found while tuning")
+        raise ConfigurationError(f"no resonance found in channel {channel + 1} "
+                                 f"within {half_width:.6g} of E = {center:.6g}")
     return est
+
+
+def _resonance_of(pieces, e_lo, e_hi, cfg):
+    """The resonance of a one-channel barrier geometry within [e_lo, e_hi]."""
+    sysb = ChannelSystem((0.0,), PiecewiseConstant(1, pieces=pieces), "whole_line", 12.0)
+    return _resonance(sysb, 0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo), 0, cfg)
 
 
 def scenario_resonance_widths(params, overrides):
     """Two channel-wise resonances at one energy keep their own widths."""
     cfg = _cfg(overrides, step=2e-3)
-    h1 = params.get("height_1", 12.0)
-    w1 = params.get("width_1", 0.5)
-    g1 = params.get("gap_1", 2.2)
-    h2 = params.get("height_2", 30.0)
-    w2 = params.get("width_2", 0.7)
-    e_b = params.get("bound_energy", -0.5)
+    h1 = params["height_1"]
+    w1 = params["width_1"]
+    g1 = params["gap_1"]
+    h2 = params["height_2"]
+    w2 = params["width_2"]
+    e_b = params["bound_energy"]
     est1 = _resonance_of(_double_barrier(h1, w1, g1), 0.3, 3.0, cfg)
     # tune the second gap so the channel-2 resonance coincides
-    gap = params.get("gap_2_start", 2.0)
+    gap = params["gap_2_start"]
     target = est1.energy
     for _ in range(12):
         est2 = _resonance_of(_double_barrier(h2, w2, gap), max(0.2, target - 1.0),
@@ -465,10 +480,10 @@ def scenario_resonance_widths(params, overrides):
               + _double_barrier(h2, w2, gap, 2, 1))
     pot = PiecewiseConstant(2, pieces=pieces)
     system = ChannelSystem((0.0, 0.0), pot, "whole_line", 14.0)
-    res = marchenko.add_bound_state(system, e_b, params.get("weights", [1.0, 1.0]), cfg)
+    res = marchenko.add_bound_state(system, e_b, params["weights"], cfg)
     hw = max(6.0 * est1.width_delay, 20.0 * est2.width_delay, 0.05)
-    got1 = engine.estimate_resonance_width(res.system, target, hw, 0, cfg)
-    got2 = engine.estimate_resonance_width(res.system, target, hw, 1, cfg)
+    got1 = _resonance(res.system, target, hw, 0, cfg)
+    got2 = _resonance(res.system, target, hw, 1, cfg)
     v12 = res.potential.matrix_batch(res.grid)[:, 0, 1]
     metrics = {
         "uncoupled_ratio": est1.width_delay / est2.width_delay,
@@ -491,18 +506,18 @@ def scenario_resonance_widths(params, overrides):
 def scenario_resonance_tunneling(params, overrides):
     """Transparent for channel-1 incidence, reflecting for channel-2, same E."""
     cfg = _cfg(overrides, step=2e-3)
-    h1 = params.get("height_1", 12.0)
-    w1 = params.get("width_1", 0.5)
-    g1 = params.get("gap_1", 2.2)
-    h2 = params.get("height_2", 8.0)
-    w2 = params.get("width_2", 1.4)
-    e_b = params.get("bound_energy", -0.5)
+    h1 = params["height_1"]
+    w1 = params["width_1"]
+    g1 = params["gap_1"]
+    h2 = params["height_2"]
+    w2 = params["width_2"]
+    e_b = params["bound_energy"]
     est1 = _resonance_of(_double_barrier(h1, w1, g1), 0.3, 3.0, cfg)
     e_res = est1.energy
     pieces = (_double_barrier(h1, w1, g1, 2, 0) + _single_barrier(h2, w2, 2, 1))
     pot = PiecewiseConstant(2, pieces=pieces)
     system = ChannelSystem((0.0, 0.0), pot, "whole_line", 14.0)
-    res = marchenko.add_bound_state(system, e_b, params.get("weights", [1.0, 1.0]), cfg)
+    res = marchenko.add_bound_state(system, e_b, params["weights"], cfg)
     # refine the resonance on the coupled system (the transform keeps S)
     est_c = engine.estimate_resonance_width(res.system, e_res,
                                             max(6.0 * est1.width_delay, 0.05), 0, cfg)
@@ -529,9 +544,9 @@ def scenario_resonance_tunneling(params, overrides):
 def scenario_leftright_asymmetry(params, overrides):
     """Channel-resolved transmission differs between incidence sides."""
     cfg = _cfg(overrides, step=1e-3)
-    e_probe = params.get("probe_energy", 3.0)
-    barrier = params.get("barrier", 6.0)
-    coupling = params.get("coupling", 2.5)
+    e_probe = params["probe_energy"]
+    barrier = params["barrier"]
+    coupling = params["coupling"]
     m_b = np.array([[barrier, 0.0], [0.0, 0.0]])
     m_c = np.array([[0.0, coupling], [coupling, 0.0]])
     pot = PiecewiseConstant(2, pieces=[(-2.0, -0.5, m_b), (0.5, 2.0, m_c)])
@@ -558,12 +573,9 @@ def scenario_leftright_asymmetry(params, overrides):
 def scenario_susy_flip(params, overrides):
     """Partner of a delta comb: every peak flips sign; bands stay consistent."""
     cfg = _cfg(overrides, step=1e-3)
-    spec = bands.CombSpec(params.get("period", math.pi),
-                          np.array([[params.get("v1", 6.0), params.get("w", 1.0)],
-                                    [params.get("w", 1.0), params.get("v2", 5.0)]]),
-                          tuple(params.get("thresholds", (0.0, 1.0))))
+    spec = _comb_spec(params)
     window = bands.comb_system(spec, n_periods=3)
-    e_f = params.get("factorization_energy", -2.0)
+    e_f = params["factorization_energy"]
     seed = engine.integrate_jost(window, e_f, cfg)
     det_floor = overrides.get("seed_tolerance") or 1e-12
     fac = susy.factorize(window, e_f, seed, det_floor=float(det_floor))
@@ -589,14 +601,14 @@ def scenario_susy_flip(params, overrides):
 
 def scenario_gap_creation(params, overrides):
     """Rake a block state to the right edge; the periodized block gains a gap."""
-    period = params.get("period", math.pi)
-    ratio = params.get("swv_ratio", 0.8)
-    v0 = np.array(params.get("block", [[-12.0, 1.0], [1.0, -9.0]]), dtype=float)
-    thresholds = tuple(params.get("thresholds", (0.0, 0.0)))
-    mode = params.get("mode", 1)
+    period = params["period"]
+    ratio = params["swv_ratio"]
+    v0 = np.array(params["block"], dtype=float)
+    thresholds = tuple(params["thresholds"])
+    mode = params["mode"]
     cfg = _cfg(overrides, step=1e-3)
     lam, vec = np.linalg.eigh(v0 + np.diag(thresholds))
-    branch = params.get("branch", 0)
+    branch = params["branch"]
     e_n = float(lam[branch] + (mode * math.pi / period) ** 2)
     xs = engine.build_grid(0.0, period, cfg.step)
     amp = math.sqrt(2.0 / period)
@@ -642,10 +654,10 @@ def scenario_gap_creation(params, overrides):
 
 def scenario_level_splitting(params, overrides):
     """Constant coupling between identical box branches splits levels by +-W."""
-    width = params.get("width", math.pi)
-    wall = params.get("wall_height", 1.0e6)
-    w = params.get("coupling", 2.0)
-    n_levels = params.get("levels", 3)
+    width = params["width"]
+    wall = params["wall_height"]
+    w = params["coupling"]
+    n_levels = params["levels"]
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.05)
     inner = np.array([[0.0, w], [w, 0.0]])
     wall_m = wall * np.eye(2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .domain import (ChannelSystem, GridSampled, MatrixSolution,
                      SumPotential)
-from .dressing import cumulative_from_start, interval_contributions
+from .dressing import cumulative_from_start, interval_contributions, rank_one
 from .errors import ConfigurationError, SingularTransformError
 from . import engine
 
@@ -197,38 +197,29 @@ class PairTransformResult:
     grid: np.ndarray
     state_values: np.ndarray
     state_derivatives: np.ndarray
+    delta_v: np.ndarray
 
 
 def double_susy_swv_scale(system: ChannelSystem, state, ratio: float) -> PairTransformResult:
     """Composite of two partner steps at a bound level: scale its weights.
 
-    The two superpotentials telescope to W1 + W2 = psi psi^T / S with
-    S(x) = 1/(r^2-1) + int_0^x psi^T psi dy, so the composite potential
-    V0 - 2 d/dx [psi psi^T / S] never touches the singular intermediate.
-    The attached state scales all origin weights by r.
+    The two superpotentials telescope to W1 + W2 = lam psi psi^T / D with
+    lam = r^2 - 1 and D(x) = 1 + lam int_0^x psi^T psi dy, so the composite
+    potential V0 - 2 d/dx [lam psi psi^T / D] never touches the singular
+    intermediate.  The attached state r psi / D scales all origin weights by
+    r and keeps unit norm; r = 1 is the exact identity.
     """
-    if ratio <= 0 or ratio == 1.0:
-        raise ConfigurationError("ratio must be positive and differ from one")
+    if ratio <= 0:
+        raise ConfigurationError("ratio must be positive")
     lam = ratio ** 2 - 1.0
-    c0 = 1.0 / lam
     xs = state.grid
-    psi = state.values
-    dpsi = state.derivatives
-    dens = np.sum(psi ** 2, axis=1)
-    s = c0 + cumulative_from_start(xs, dens)
-    if np.any(s * c0 <= 0):
-        raise SingularTransformError(float(xs[int(np.argmax(s * c0 <= 0))]))
-    outer = np.einsum("ma,mb->mab", psi, psi)
-    douter = np.einsum("ma,mb->mab", dpsi, psi) + np.einsum("ma,mb->mab", psi, dpsi)
-    dv = -2.0 * (douter * s[:, None, None] - outer * dens[:, None, None]) / s[:, None, None] ** 2
+    den = 1.0 + lam * cumulative_from_start(xs, np.sum(state.values ** 2, axis=1))
+    dv, psi, dpsi = rank_one(xs, state.values, state.derivatives, den, lam)
     pot = SumPotential([(1.0, system.potential), (1.0, GridSampled(xs, dv))],
                        params={"transform": "double_susy_swv_scale",
                                "ratio": float(ratio), "energy": state.energy})
-    new_system = replace(system, potential=pot)
-    den = 1.0 + lam * cumulative_from_start(xs, dens)
-    new_psi = ratio * psi / den[:, None]
-    new_dpsi = ratio * (dpsi * den[:, None] - psi * (lam * dens)[:, None]) / den[:, None] ** 2
-    return PairTransformResult(new_system, pot, xs, new_psi, new_dpsi)
+    return PairTransformResult(replace(system, potential=pot), pot, xs,
+                               ratio * psi, ratio * dpsi, dv)
 
 
 def double_susy_remove(system: ChannelSystem, state) -> PairTransformResult:
@@ -251,12 +242,9 @@ def double_susy_remove(system: ChannelSystem, state) -> PairTransformResult:
     psi = state.values / math.sqrt(total)
     dpsi = state.derivatives / math.sqrt(total)
     left_tail = float(np.sum(psi[0] ** 2 / (2.0 * kappa)))
-    dens = np.sum(psi ** 2, axis=1)
-    s = left_tail + cumulative_from_start(xs, dens)
-    outer = np.einsum("ma,mb->mab", psi, psi)
-    douter = np.einsum("ma,mb->mab", dpsi, psi) + np.einsum("ma,mb->mab", psi, dpsi)
-    dv = -2.0 * (douter * s[:, None, None] - outer * dens[:, None, None]) / s[:, None, None] ** 2
+    s = left_tail + cumulative_from_start(xs, np.sum(psi ** 2, axis=1))
+    dv = rank_one(xs, psi, dpsi, s, 1.0)[0]
     pot = SumPotential([(1.0, system.potential), (1.0, GridSampled(xs, dv))],
                        params={"transform": "double_susy_remove", "energy": state.energy})
     return PairTransformResult(replace(system, potential=pot), pot, xs,
-                               np.zeros_like(psi), np.zeros_like(dpsi))
+                               np.zeros_like(psi), np.zeros_like(dpsi), dv)

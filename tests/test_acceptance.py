@@ -96,11 +96,11 @@ def test_criterion_5_involution(fig3_base):
     system = ChannelSystem((0.0,), pot, "half_line", 25.0)
     cfg = SolverConfig(step=1e-3, bracket_step=0.05)
     gs = engine.find_bound_states(system, (-4.9, -0.1), cfg)[0]
-    half = gl.swv_scale_one_channel(system, gs, 0.5)
+    half = susy.double_susy_swv_scale(system, gs, 0.5)
     mid = BoundState(energy=gs.energy, grid=half.grid, values=half.state_values,
                      derivatives=half.state_derivatives, c_datum=None,
                      m_datum=gs.m_datum)
-    back = gl.swv_scale_one_channel(half.system, mid, 2.0)
+    back = susy.double_susy_swv_scale(half.system, mid, 2.0)
     dev = np.max(np.abs(back.potential.matrix_batch(back.grid)
                         - system.potential.matrix_batch(back.grid)))
     dt = time.time() - t0
@@ -240,10 +240,14 @@ def test_criterion_9_susy(fig3_base):
     # double-step weight scale equals the origin-anchored transform
     pot1 = PiecewiseConstant(1, pieces=[(0.0, math.pi, [[-5.0]])])
     sys1 = ChannelSystem((0.0,), pot1, "half_line", 25.0)
-    gs = engine.find_bound_states(sys1, (-4.9, -0.1),
-                                  SolverConfig(step=1e-3, bracket_step=0.05))[0]
+    cfg1 = SolverConfig(step=1e-3, bracket_step=0.05)
+    gs = engine.find_bound_states(sys1, (-4.9, -0.1), cfg1)[0]
     via_susy = susy.double_susy_swv_scale(sys1, gs, 0.6)
-    via_gl = gl.swv_scale_one_channel(sys1, gs, 0.6)
+    # the general two-term dressing at the same energy with weights times 0.6
+    spec = gl.GlTransformSpec(system=sys1, state=gs, new_energy=gs.energy,
+                              new_weights=0.6 * gs.c_datum.weights)
+    via_gl = gl.transform_bound_state(spec, engine.integrate_regular(sys1, gs.energy, cfg1),
+                                      cfg1)
     dev = float(np.max(np.abs(via_susy.potential.matrix_batch(via_susy.grid)
                               - via_gl.potential.matrix_batch(via_susy.grid))))
     dt = time.time() - t0
@@ -255,10 +259,12 @@ def test_criterion_9_susy(fig3_base):
 
 def test_criterion_10_resonance_phenomena():
     t0 = time.time()
-    tables, metrics, derived = cli.scenarios.SCENARIOS["resonance_tunneling"]({}, {})
+    tables, metrics, derived = cli.scenarios.SCENARIOS["resonance_tunneling"](
+        cli.load_config("resonance_tunneling")["params"], {})
     tun_ok = (metrics["channel1_transmission"] > 0.99
               and metrics["channel2_reflection"] > 0.5)
-    tables, metrics, derived = cli.scenarios.SCENARIOS["resonance_widths"]({}, {})
+    tables, metrics, derived = cli.scenarios.SCENARIOS["resonance_widths"](
+        cli.load_config("resonance_widths")["params"], {})
     width_ok = (metrics["ratio_rel_error"] <= 0.3
                 and metrics["coupled_ratio"] > 2.0
                 and metrics["same_energy_gap"] < 0.05)

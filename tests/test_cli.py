@@ -1,8 +1,12 @@
 import json
 import math
 import os
+from importlib import resources
+
+import pytest
 
 from mcdesign import cli
+from mcdesign.scenarios import SCENARIOS
 
 
 def test_catalog_has_the_fourteen_scenarios():
@@ -10,15 +14,15 @@ def test_catalog_has_the_fourteen_scenarios():
                 "bsec_tails", "resonance_widths", "resonance_tunneling",
                 "leftright_asymmetry", "susy_flip", "gap_creation",
                 "level_splitting"}
-    assert set(cli.BUNDLED) == expected
-    assert len(cli.BUNDLED) == 14
+    assert set(SCENARIOS) == expected
+    assert len(SCENARIOS) == 14
 
 
 def test_every_bundled_config_validates():
-    for name in cli.BUNDLED:
+    for name in SCENARIOS:
         cfg = cli.load_config(name)
         assert cfg["name"] == name
-        assert cfg["scenario"] in cli.scenarios.SCENARIOS
+        assert cfg["scenario"] in SCENARIOS
 
 
 def test_fig4_config_carries_the_degenerate_weights():
@@ -128,10 +132,48 @@ def test_grid_step_override_reaches_the_solver(tmp_path):
     assert manifest["overrides"]["grid_step"] == 2e-3
 
 
-def test_exported_configs_match_the_bundled_catalog():
-    root = os.path.join(os.path.dirname(__file__), "..", "configs")
-    for name, cfg in cli.BUNDLED.items():
-        path = os.path.join(root, f"{name}.json")
-        assert os.path.exists(path), f"configs/{name}.json missing"
-        with open(path) as fh:
-            assert json.load(fh) == json.loads(json.dumps(cfg))
+def test_each_scenario_has_one_bundled_config():
+    files = [f for f in resources.files("mcdesign").joinpath("configs").iterdir()
+             if f.name.endswith(".json")]
+    assert sorted(f.name[:-len(".json")] for f in files) == sorted(SCENARIOS)
+    for f in files:
+        cfg = json.loads(f.read_text())
+        assert cfg["name"] == cfg["scenario"] == f.name[:-len(".json")]
+
+
+def test_empty_params_run_on_the_bundled_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "name": "split",
+                                "scenario": "level_splitting", "params": {}}))
+    code, manifest = cli.run_scenario(cli.load_config(str(path)), str(tmp_path / "out"))
+    assert code == 0
+    assert manifest["params"]["wall_height"] == 4e6
+
+
+@pytest.mark.parametrize("scenario, params, field", [
+    ("fig6", {"sampels": 2000}, "params.sampels"),
+    ("fig6", {"samples": "many"}, "params.samples"),
+    ("fig6", {"samples": 2000.5}, "params.samples"),
+    ("fig1", {"levels": True}, "params.levels"),
+])
+def test_bad_params_are_config_errors(tmp_path, capsys, scenario, params, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "name": "bad", "scenario": scenario,
+                                "params": params}))
+    for argv in (["validate", str(path)], ["run", str(path), str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario, params", [
+    ("fig1", {"levels": 0}),
+    ("fig2", {"depth": 0.05}),
+])
+def test_empty_level_search_is_a_numerical_error(tmp_path, capsys, scenario, params):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "name": "empty", "scenario": scenario,
+                                "params": params}))
+    assert cli.main(["run", str(path), str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "no bound state" in err and "Traceback" not in err

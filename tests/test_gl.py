@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdesign import engine, gl
+from mcdesign import engine, gl, susy
 from mcdesign.domain import BoundState, ChannelSystem, MatrixSolution, PiecewiseConstant
 from mcdesign.dressing import Dressing, DressingTerm
 from mcdesign.engine import SolverConfig
@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 
 
 def test_ratio_one_is_identity(one_channel_well_system, one_channel_well_states):
-    res = gl.swv_scale_one_channel(one_channel_well_system,
+    res = susy.double_susy_swv_scale(one_channel_well_system,
                                    one_channel_well_states[0], 1.0)
     assert np.max(np.abs(res.delta_v)) == 0.0
     assert np.max(np.abs(res.state_values - one_channel_well_states[0].values)) == 0.0
@@ -23,7 +23,7 @@ def test_ratio_one_is_identity(one_channel_well_system, one_channel_well_states)
 def test_rake_produces_barrier_then_well(one_channel_well_system,
                                          one_channel_well_states):
     gs = one_channel_well_states[0]
-    res = gl.swv_scale_one_channel(one_channel_well_system, gs, 0.5)
+    res = susy.double_susy_swv_scale(one_channel_well_system, gs, 0.5)
     xs = res.grid
     centroid = float(np.sum(xs * gs.values[:, 0] ** 2) / np.sum(gs.values[:, 0] ** 2))
     dv = res.delta_v[:, 0, 0]
@@ -34,12 +34,12 @@ def test_rake_produces_barrier_then_well(one_channel_well_system,
 def test_scale_then_inverse_restores_potential(one_channel_well_system,
                                                one_channel_well_states):
     gs = one_channel_well_states[0]
-    half = gl.swv_scale_one_channel(one_channel_well_system, gs, 0.5)
+    half = susy.double_susy_swv_scale(one_channel_well_system, gs, 0.5)
     mid_state = BoundState(energy=gs.energy, grid=half.grid,
                            values=half.state_values,
                            derivatives=half.state_derivatives,
                            c_datum=None, m_datum=gs.m_datum)
-    back = gl.swv_scale_one_channel(half.system, mid_state, 2.0)
+    back = susy.double_susy_swv_scale(half.system, mid_state, 2.0)
     v0 = one_channel_well_system.potential.matrix_batch(back.grid)
     v2 = back.potential.matrix_batch(back.grid)
     assert np.max(np.abs(v2 - v0)) < 1e-7
@@ -52,7 +52,7 @@ def test_scaled_weight_and_spectrum(ratio):
     system = ChannelSystem((0.0,), pot, "half_line", 25.0)
     cfg = SolverConfig(step=2e-3, bracket_step=0.1)
     states = engine.find_bound_states(system, (-4.9, -0.1), cfg)
-    res = gl.swv_scale_one_channel(system, states[0], ratio)
+    res = susy.double_susy_swv_scale(system, states[0], ratio)
     new_states = engine.find_bound_states(res.system, (-4.9, -0.1), cfg)
     assert len(new_states) == len(states)
     for a, b in zip(new_states, states):
@@ -262,5 +262,5 @@ def test_unnormalized_state_with_small_ratio_is_singular(one_channel_well_system
                          derivatives=1.5 * gs.derivatives, c_datum=gs.c_datum,
                          m_datum=gs.m_datum)
     with pytest.raises(SingularTransformError) as err:
-        gl.swv_scale_one_channel(one_channel_well_system, bloated, 0.25)
+        susy.double_susy_swv_scale(one_channel_well_system, bloated, 0.25)
     assert err.value.x is not None

@@ -129,15 +129,20 @@ def test_double_susy_involution_restores_the_potential(cfg):
 
 
 def test_double_susy_weight_scale_equals_the_origin_transform(
-        one_channel_well_system, one_channel_well_states):
+        one_channel_well_system, one_channel_well_states, cfg):
+    # the general two-term dressing at the same energy with weights times r
     gs = one_channel_well_states[0]
     ratio = 0.7
     via_susy = susy.double_susy_swv_scale(one_channel_well_system, gs, ratio)
-    via_gl = gl.swv_scale_one_channel(one_channel_well_system, gs, ratio)
+    spec = gl.GlTransformSpec(system=one_channel_well_system, state=gs,
+                              new_energy=gs.energy,
+                              new_weights=ratio * gs.c_datum.weights)
+    phi = engine.integrate_regular(one_channel_well_system, gs.energy, cfg)
+    via_gl = gl.transform_bound_state(spec, phi, cfg)
     xs = via_susy.grid
     dev = via_susy.potential.matrix_batch(xs) - via_gl.potential.matrix_batch(xs)
     assert np.max(np.abs(dev)) < 1e-5
-    assert np.max(np.abs(via_susy.state_values - via_gl.state_values)) < 1e-8
+    assert np.max(np.abs(via_susy.state_values - via_gl.state.values)) < 1e-8
 
 
 def test_double_susy_removal_drops_one_level(cfg_fast):
