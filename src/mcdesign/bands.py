@@ -114,9 +114,7 @@ def monodromy_cos(spec: CombSpec, energy: float,
     half = 0.5 * spec.period
     comb = DeltaComb(n, spec.period, spec.strength, j_min=0, j_max=0, offset=0.0)
     cell = ChannelSystem(spec.thresholds, comb, "whole_line", x_max=half)
-    xs = engine.build_grid(-half, half, cfg.step, [0.0])
-    fac = engine.PropagatorFactory(cell, xs)
-    total = engine.transfer_product(fac.propagators(energy))
+    total = engine.segment(cell, -half, half, cfg).transfer(energy)
     lam = np.linalg.eigvals(total)
     cos_vals = 0.5 * (lam + 1.0 / lam)
     # the 2N values come in equal pairs (lambda and 1/lambda map to one
@@ -237,13 +235,9 @@ def bloch_growth_factor(block_system: ChannelSystem, energy: float,
     x_lo, x_hi = block_system.x_range()
     if block_system.domain_kind != "half_line":
         raise ConfigurationError("the block lives on [0, a]")
-    xs = engine.build_grid(x_lo, x_hi, cfg.step,
-                           [*block_system.potential.breakpoints(),
-                            *(d.location for d in block_system.potential.delta_terms())])
-    fac = engine.PropagatorFactory(block_system, xs)
     d0 = np.asarray(initial_slope, dtype=float)
     y0 = np.concatenate([np.zeros_like(d0), d0])
-    traj = engine.propagate_trajectory(fac.propagators(energy), xs, y0[:, None])
+    traj = engine.segment(block_system, x_lo, x_hi, cfg).trajectory(energy, y0[:, None])
     n = block_system.n_channels
     end_vals = traj[-1, :n, 0]
     end_ders = traj[-1, n:, 0]

@@ -17,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 
 def _as_symmetric(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise ConfigurationError(f"{name} must be square, got shape {m.shape}")
     if not np.array_equal(m, m.T):
         if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-            raise ValueError(f"{name} must be symmetric")
+            raise ConfigurationError(f"{name} must be symmetric")
         m = 0.5 * (m + m.T)
     m.setflags(write=False)
     return m
@@ -93,7 +93,7 @@ class PiecewiseConstant(PotentialMatrix):
         norm_pieces = []
         for lo, hi, m in pieces:
             if not (lo < hi):
-                raise ValueError(f"empty interval [{lo}, {hi}]")
+                raise ConfigurationError(f"empty interval [{lo}, {hi}]")
             norm_pieces.append((float(lo), float(hi), _as_symmetric(m, "piece")))
         norm_pieces.sort(key=lambda p: p[0])
         self.pieces = tuple(norm_pieces)
@@ -153,7 +153,7 @@ class DeltaComb(PotentialMatrix):
     def __init__(self, n_channels: int, period: float, strength, j_min: int, j_max: int,
                  offset: float = 0.0):
         if period <= 0:
-            raise ValueError("period must be positive")
+            raise ConfigurationError("period must be positive")
         self.n_channels = int(n_channels)
         self.period = float(period)
         self.offset = float(offset)
@@ -189,12 +189,12 @@ class GridSampled(PotentialMatrix):
         grid = np.asarray(grid, dtype=float)
         samples = np.asarray(samples, dtype=float)
         if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
+            raise ConfigurationError("grid must be strictly increasing")
         if samples.shape[0] != grid.shape[0] or samples.ndim != 3:
-            raise ValueError("samples must have shape (len(grid), N, N)")
+            raise ConfigurationError("samples must have shape (len(grid), N, N)")
         asym = np.max(np.abs(samples - np.swapaxes(samples, 1, 2)))
         if asym > 1e-10 * max(1.0, float(np.max(np.abs(samples)))):
-            raise ValueError("sampled matrices must be symmetric")
+            raise ConfigurationError("sampled matrices must be symmetric")
         samples = 0.5 * (samples + np.swapaxes(samples, 1, 2))
         self.n_channels = samples.shape[1]
         self.grid = grid
@@ -263,10 +263,10 @@ class SumPotential(PotentialMatrix):
     def __init__(self, terms, params=None):
         self.terms = tuple((float(w), p) for w, p in terms)
         if not self.terms:
-            raise ValueError("empty potential sum")
+            raise ConfigurationError("empty potential sum")
         self.n_channels = self.terms[0][1].n_channels
         if any(p.n_channels != self.n_channels for _, p in self.terms):
-            raise ValueError("mismatched channel counts in potential sum")
+            raise ConfigurationError("mismatched channel counts in potential sum")
         merged: dict[float, np.ndarray] = {}
         for w, p in self.terms:
             for d in p.delta_terms():
@@ -316,17 +316,17 @@ class ChannelSystem:
         thr = tuple(float(t) for t in self.thresholds)
         object.__setattr__(self, "thresholds", thr)
         if self.domain_kind not in ("half_line", "whole_line"):
-            raise ValueError(f"unknown domain_kind {self.domain_kind!r}")
+            raise ConfigurationError(f"unknown domain_kind {self.domain_kind!r}")
         if len(thr) != self.potential.n_channels:
-            raise ValueError("thresholds length must equal the number of channels")
+            raise ConfigurationError("thresholds length must equal the number of channels")
         if any(b > a + 1e-15 for a, b in zip(thr[1:], thr[:-1])):
-            raise ValueError("thresholds must be nondecreasing")
+            raise ConfigurationError("thresholds must be nondecreasing")
         if self.x_max is None:
             object.__setattr__(self, "x_max", 30.0 if self.domain_kind == "half_line" else 40.0)
         lo, hi = self.x_range()
         for d in self.potential.delta_terms():
             if not (lo < d.location < hi):
-                raise ValueError(f"delta at {d.location} outside domain [{lo}, {hi}]")
+                raise ConfigurationError(f"delta at {d.location} outside domain [{lo}, {hi}]")
 
     @property
     def n_channels(self) -> int:
@@ -341,7 +341,7 @@ class ChannelSystem:
         """Asymptotic channel energies eps_a + V_aa(inf) (box walls included)."""
         tail = self.potential.tail()
         if np.max(np.abs(tail - np.diag(np.diag(tail)))) > 1e-12:
-            raise ValueError("asymptotic tail of the potential must be diagonal")
+            raise ConfigurationError("asymptotic tail of the potential must be diagonal")
         return np.asarray(self.thresholds) + np.diag(tail)
 
     def open_mask(self, energy: float) -> np.ndarray:
@@ -384,7 +384,7 @@ class SpectralDatum:
 
     def __post_init__(self):
         if self.weight_kind not in ("C", "M"):
-            raise ValueError("weight_kind must be 'C' or 'M'")
+            raise ConfigurationError("weight_kind must be 'C' or 'M'")
         w = np.asarray(self.weights, dtype=float).copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -456,3 +456,26 @@ class BoundState:
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
+
+    @classmethod
+    def of(cls, system: ChannelSystem, energy: float, grid, values,
+           derivatives) -> "BoundState":
+        """The state with its weights read off the sampled values: C = psi'(0)
+        on the half line, M = psi(x_end) exp(kappa x_end), and on the whole
+        line the left amplitudes L = psi(x_start) exp(-kappa x_start)."""
+        kappa = np.sqrt(system.effective_thresholds() - energy)
+        c_datum = left = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_weights = values[-1] * np.exp(kappa * grid[-1])
+            if system.domain_kind == "whole_line":
+                left = values[0] * np.exp(-kappa * grid[0])
+        if system.domain_kind == "half_line":
+            c_datum = make_datum(system, energy, "C", derivatives[0])
+        return cls(float(energy), grid, values, derivatives, c_datum,
+                   make_datum(system, energy, "M", m_weights), left)
+
+
+def require_same_grid(a, b, what: str):
+    """Raise ConfigurationError unless grids ``a`` and ``b`` coincide node by node."""
+    if len(a) != len(b) or not np.allclose(a, b, rtol=0.0, atol=1e-12):
+        raise ConfigurationError(f"{what} must share the solver grid (same system and config)")

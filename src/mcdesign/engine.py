@@ -27,7 +27,6 @@ from .domain import (
     ChannelSystem,
     MatrixSolution,
     ScatteringData,
-    make_datum,
 )
 from .errors import (
     ConfigurationError,
@@ -81,9 +80,10 @@ class PropagatorFactory:
     """Precomputes potential samples on a path so per-energy work is small.
 
     ``xs`` is the node sequence in propagation order (increasing or
-    decreasing).  ``propagators(E)`` returns the (M, 2N, 2N) array of one-step
-    transfer matrices, with delta jumps folded in at the nodes they occupy.
-    Stored derivatives at a delta node are always the left limit.
+    decreasing); ``grid`` is the same nodes in increasing order.
+    ``propagators(E)`` returns the (M, 2N, 2N) array of one-step transfer
+    matrices, with delta jumps folded in at the nodes they occupy.  Stored
+    derivatives at a delta node are always the left limit.
     """
 
     def __init__(self, system: ChannelSystem, xs: np.ndarray):
@@ -93,6 +93,7 @@ class PropagatorFactory:
         if len(self.h) == 0 or (np.any(self.h > 0) and np.any(self.h < 0)):
             raise ConfigurationError("node sequence must be strictly monotonic")
         self.forward = bool(self.h[0] > 0)
+        self.grid = self.xs if self.forward else self.xs[::-1]
         self.n = system.n_channels
         pot = system.potential
         x_lo = self.xs[:-1] + _EDGE_SHIFT * self.h
@@ -143,6 +144,17 @@ class PropagatorFactory:
                     jump[n:, :n] = -strength
                     p[idx - 1] = jump @ p[idx - 1]
         return p
+
+    def transfer(self, energy: float) -> np.ndarray:
+        """Transfer matrix across the whole path, first node to last."""
+        return transfer_product(self.propagators(energy))
+
+    def trajectory(self, energy: float, y0: np.ndarray) -> np.ndarray:
+        """Node states for initial data y0 at ``xs[0]``, in ``grid`` order."""
+        return self._increasing(propagate_trajectory(self.propagators(energy), self.xs, y0))
+
+    def _increasing(self, traj: np.ndarray) -> np.ndarray:
+        return traj if self.forward else traj[::-1]
 
 
 def transfer_product(props: np.ndarray) -> np.ndarray:
@@ -196,6 +208,10 @@ def left_match_point(system: ChannelSystem, cfg: SolverConfig) -> float:
 
 
 def _check_decayed(system: ChannelSystem, x_from: float, x_to: float, tol: float = 1e-10):
+    for d in system.potential.delta_terms():
+        if d.location >= x_from:
+            raise ConfigurationError(
+                f"delta at {d.location} lies at or beyond the matching point {x_from}")
     xs = np.linspace(x_from, x_to, 24)
     dev = system.potential.matrix_batch(xs) - system.potential.tail()
     worst = float(np.max(np.abs(dev)))
@@ -207,10 +223,11 @@ def _check_decayed(system: ChannelSystem, x_from: float, x_to: float, tol: float
 def clearance_point(system: ChannelSystem, tol: float, side: str = "right") -> float:
     """Smallest |x| beyond which |V - tail| stays below tol (coarse probe).
 
-    Bound-state matching may stop where the residual tail can no longer move
-    an energy at the working accuracy, well before the strict support edge;
-    matching deep inside an exponentially long tail only erodes the
-    determinant's conditioning.
+    Delta locations count as potential that has not decayed, so no delta
+    lies beyond the returned point.  Bound-state matching may stop where the
+    residual tail can no longer move an energy at the working accuracy, well
+    before the strict support edge; matching deep inside an exponentially
+    long tail only erodes the determinant's conditioning.
     """
     lo, hi = system.potential.support()
     x_lo, x_hi = system.x_range()
@@ -220,17 +237,46 @@ def clearance_point(system: ChannelSystem, tol: float, side: str = "right") -> f
     xs = np.linspace(lo, hi, 4096)
     dev = np.max(np.abs(system.potential.matrix_batch(xs) - system.potential.tail()),
                  axis=(1, 2))
-    big = np.nonzero(dev > tol)[0]
-    if big.size == 0:
+    big = [*xs[dev > tol], *(d.location for d in system.potential.delta_terms())]
+    if not big:
         return 0.5 * (lo + hi)      # effectively free: collapse to the middle
+    return float(max(big) if side == "right" else min(big))
+
+
+_BOUND_TAIL_TOL = 1e-5      # residual tail this small cannot move a level
+_SCATTER_TAIL_TOL = 1e-8    # truncating |V| below this is invisible at 1e-6 in S
+
+
+def _match_point(system: ChannelSystem, cfg: SolverConfig, tol: float, side: str) -> float:
+    """Where the matchers stop: a pad beyond the point where |V - tail| < tol.
+
+    ``cfg.x_match`` overrides the right point; neither point passes the
+    strict support edge plus the pad.
+    """
     if side == "right":
-        return float(xs[big[-1]])
-    return float(xs[big[0]])
+        if cfg.x_match is not None:
+            return float(cfg.x_match)
+        x_m = clearance_point(system, tol, "right") + _match_pad(system)
+        return min(x_m, right_match_point(system, cfg))
+    x_l = clearance_point(system, tol, "left") - _match_pad(system)
+    return max(x_l, left_match_point(system, cfg))
 
 
 def _interior_knots(system: ChannelSystem):
+    """The knots every grid keeps as nodes: breakpoints and delta locations."""
     return [*system.potential.breakpoints(),
             *(d.location for d in system.potential.delta_terms())]
+
+
+def segment(system: ChannelSystem, x_from: float, x_to: float,
+            cfg: SolverConfig) -> PropagatorFactory:
+    """The propagation path from x_from to x_to, in either direction.
+
+    Its grid has spacing <= cfg.step and keeps every breakpoint and delta
+    location as a node.
+    """
+    xs = build_grid(min(x_from, x_to), max(x_from, x_to), cfg.step, _interior_knots(system))
+    return PropagatorFactory(system, xs if x_from < x_to else xs[::-1])
 
 
 def system_grid(system: ChannelSystem, cfg: SolverConfig = SolverConfig(),
@@ -242,14 +288,11 @@ def system_grid(system: ChannelSystem, cfg: SolverConfig = SolverConfig(),
     nodes exactly; transforms rely on that alignment.
     """
     x_lo, x_hi = system.x_range()
-    knots = _interior_knots(system)
-    knots.append(right_match_point(system, cfg))
-    knots.append(_bound_match_right(system, cfg))
+    x_r = _match_point(system, cfg, _BOUND_TAIL_TOL, "right")
+    knots = [*_interior_knots(system), right_match_point(system, cfg), x_r]
     if system.domain_kind == "whole_line":
-        knots.append(left_match_point(system, cfg))
-        knots.append(_bound_match_left(system, cfg))
-        knots.append(0.5 * (_bound_match_left(system, cfg)
-                            + _bound_match_right(system, cfg)))
+        x_l = _match_point(system, cfg, _BOUND_TAIL_TOL, "left")
+        knots += [left_match_point(system, cfg), x_l, 0.5 * (x_l + x_r)]
     knots.extend(extra_knots)
     return build_grid(x_lo, x_hi, cfg.step, knots)
 
@@ -260,10 +303,9 @@ def integrate_regular(system: ChannelSystem, energy: float,
     if system.domain_kind != "half_line":
         raise ConfigurationError("regular solutions are defined on half-line systems")
     xs = system_grid(system, cfg)
-    fac = PropagatorFactory(system, xs)
     n = system.n_channels
     y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
-    traj = propagate_trajectory(fac.propagators(energy), xs, y0)
+    traj = PropagatorFactory(system, xs).trajectory(energy, y0)
     return MatrixSolution(float(energy), "regular", xs, traj[:, :n, :], traj[:, n:, :])
 
 
@@ -288,9 +330,24 @@ def integrate_jost(system: ChannelSystem, energy: float,
         rates = -np.sqrt(eps_eff - energy)
     vals = np.exp(rates * x_hi)
     y_end = np.vstack([np.diag(vals), np.diag(rates * vals)])
-    fac = PropagatorFactory(system, xs[::-1])
-    traj = propagate_trajectory(fac.propagators(energy), xs[::-1], y_end)[::-1]
+    traj = PropagatorFactory(system, xs[::-1]).trajectory(energy, y_end)
     return MatrixSolution(float(energy), "jost", xs, traj[:, :n, :], traj[:, n:, :])
+
+
+def stencil_nodes(system: ChannelSystem, xs: np.ndarray, stride: int,
+                  margin: float) -> np.ndarray:
+    """Every stride-th interior node whose five-point stencil has equal steps
+    and lies more than ``margin`` largest steps away from every knot."""
+    h = np.diff(xs)
+    idx = np.arange(2, len(xs) - 2, stride)
+    uniform = (np.isclose(h[idx - 2], h[idx - 1], rtol=1e-9)
+               & np.isclose(h[idx - 1], h[idx], rtol=1e-9)
+               & np.isclose(h[idx], h[idx + 1], rtol=1e-9))
+    idx = idx[uniform]
+    h_max = float(np.max(h))
+    for s in _interior_knots(system):
+        idx = idx[np.abs(xs[idx] - s) > margin * h_max]
+    return idx
 
 
 def solution_residual(system: ChannelSystem, sol: MatrixSolution, stride: int = 16) -> float:
@@ -302,14 +359,7 @@ def solution_residual(system: ChannelSystem, sol: MatrixSolution, stride: int = 
     """
     xs, v = sol.grid, sol.values
     h = np.diff(xs)
-    idx = np.arange(2, len(xs) - 2, stride)
-    uniform = (np.isclose(h[idx - 2], h[idx - 1], rtol=1e-9)
-               & np.isclose(h[idx - 1], h[idx], rtol=1e-9)
-               & np.isclose(h[idx], h[idx + 1], rtol=1e-9))
-    idx = idx[uniform]
-    h_max = float(np.max(h))
-    for s in _interior_knots(system):
-        idx = idx[np.abs(xs[idx] - s) > 3.5 * h_max]
+    idx = stencil_nodes(system, xs, stride, 3.5)
     if idx.size == 0:
         return 0.0
     num = (-v[idx - 2] + 16 * v[idx - 1] - 30 * v[idx]
@@ -330,35 +380,20 @@ def solution_residual(system: ChannelSystem, sol: MatrixSolution, stride: int = 
 # bound states
 
 
-_BOUND_TAIL_TOL = 1e-5      # residual tail this small cannot move a level
-
-
-def _bound_match_right(system, cfg):
-    if cfg.x_match is not None:
-        return float(cfg.x_match)
-    x_m = clearance_point(system, _BOUND_TAIL_TOL, "right") + _match_pad(system)
-    return min(x_m, right_match_point(system, cfg))
-
-
-def _bound_match_left(system, cfg):
-    x_l = clearance_point(system, _BOUND_TAIL_TOL, "left") - _match_pad(system)
-    return max(x_l, left_match_point(system, cfg))
-
-
 class _HalfLineMatcher:
     def __init__(self, system: ChannelSystem, cfg: SolverConfig):
         self.system = system
         self.cfg = cfg
-        self.x_m = _bound_match_right(system, cfg)
-        self.xs = build_grid(0.0, self.x_m, cfg.step, _interior_knots(system))
-        self.fac = PropagatorFactory(system, self.xs)
+        self.x_m = _match_point(system, cfg, _BOUND_TAIL_TOL, "right")
+        self.fac = segment(system, 0.0, self.x_m, cfg)
+        self.xs = self.fac.xs
         n = system.n_channels
         self.y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
         self.eps_eff = system.effective_thresholds()
 
     def matching_matrix(self, energy: float):
         n = self.system.n_channels
-        y = transfer_product(self.fac.propagators(energy)) @ self.y0
+        y = self.fac.transfer(energy) @ self.y0
         phi, dphi = y[:n], y[n:]
         kappa = np.sqrt(self.eps_eff - energy)
         g = kappa[:, None] * phi + dphi       # growing-part coefficients
@@ -396,7 +431,7 @@ class _HalfLineMatcher:
         if i_c >= len(self.xs) - 2:
             m, scale = self.matching_matrix(energy)
             _, _, vt = np.linalg.svd(m)
-            traj = propagate_trajectory(self.fac.propagators(energy), self.xs, self.y0)
+            traj = self.fac.trajectory(energy, self.y0)
             out = []
             for j in range(rank_def):
                 coeffs = np.real(vt[-1 - j] / scale)
@@ -405,17 +440,15 @@ class _HalfLineMatcher:
                 dec = 0.5 * (vals[-1] - ders[-1] / kappa)
                 out.append((self.xs, vals, ders, dec, None))
             return out
-        xs_l = self.xs[: i_c + 1]
-        xs_r = self.xs[i_c:]
-        fac_l = PropagatorFactory(self.system, xs_l)
-        fac_r = PropagatorFactory(self.system, xs_r[::-1])
-        traj_l = propagate_trajectory(fac_l.propagators(energy), xs_l, self.y0)
+        # slices of the matcher's own grid, so the pieces join on its nodes
+        fac_l = PropagatorFactory(self.system, self.xs[: i_c + 1])
+        fac_r = PropagatorFactory(self.system, self.xs[i_c:][::-1])
+        traj_l = fac_l.trajectory(energy, self.y0)
         # start the decaying columns at their natural size at x_c so both
         # blocks of the matching matrix meet at comparable magnitudes
         w = np.exp(-np.minimum(kappa * (self.x_m - self.xs[i_c]), 650.0))
         y_right = np.vstack([np.diag(w), np.diag(-kappa * w)])
-        traj_r = propagate_trajectory(fac_r.propagators(energy), xs_r[::-1],
-                                      y_right)[::-1]
+        traj_r = fac_r.trajectory(energy, y_right)
         m = np.hstack([np.vstack([traj_l[-1, :n], traj_l[-1, n:]]),
                        -np.vstack([traj_r[0, :n], traj_r[0, n:]])])
         s = np.max(np.abs(m[:n]), axis=1) + np.max(np.abs(m[n:]), axis=1) / kappa
@@ -436,14 +469,11 @@ class _WholeLineMatcher:
     def __init__(self, system: ChannelSystem, cfg: SolverConfig):
         self.system = system
         self.cfg = cfg
-        self.x_l = _bound_match_left(system, cfg)
-        self.x_r = _bound_match_right(system, cfg)
+        self.x_l = _match_point(system, cfg, _BOUND_TAIL_TOL, "left")
+        self.x_r = _match_point(system, cfg, _BOUND_TAIL_TOL, "right")
         self.x_c = 0.5 * (self.x_l + self.x_r)
-        knots = _interior_knots(system)
-        self.xs_left = build_grid(self.x_l, self.x_c, cfg.step, knots)
-        self.xs_right = build_grid(self.x_c, self.x_r, cfg.step, knots)
-        self.fac_left = PropagatorFactory(system, self.xs_left)
-        self.fac_right = PropagatorFactory(system, self.xs_right[::-1])
+        self.fac_left = segment(system, self.x_l, self.x_c, cfg)
+        self.fac_right = segment(system, self.x_r, self.x_c, cfg)
         self.eps_eff = system.effective_thresholds()
 
     def _edge_data(self, energy: float):
@@ -456,8 +486,8 @@ class _WholeLineMatcher:
     def matching_matrix(self, energy: float):
         n = self.system.n_channels
         y_left, y_right, kappa = self._edge_data(energy)
-        yl = transfer_product(self.fac_left.propagators(energy)) @ y_left
-        yr = transfer_product(self.fac_right.propagators(energy)) @ y_right
+        yl = self.fac_left.transfer(energy) @ y_left
+        yr = self.fac_right.transfer(energy) @ y_right
         m = np.hstack([yl, -yr])
         # per-channel solution scales; value and derivative rows separately
         s = np.max(np.abs(m[:n]), axis=1) + np.max(np.abs(m[n:]), axis=1) / kappa
@@ -472,11 +502,9 @@ class _WholeLineMatcher:
         y_left, y_right, kappa = self._edge_data(energy)
         m, scale = self.matching_matrix(energy)
         _, _, vt = np.linalg.svd(m)
-        traj_l = propagate_trajectory(self.fac_left.propagators(energy),
-                                      self.xs_left, y_left)
-        traj_r = propagate_trajectory(self.fac_right.propagators(energy),
-                                      self.xs_right[::-1], y_right)[::-1]
-        xs = np.concatenate([self.xs_left, self.xs_right[1:]])
+        traj_l = self.fac_left.trajectory(energy, y_left)
+        traj_r = self.fac_right.trajectory(energy, y_right)
+        xs = np.concatenate([self.fac_left.grid, self.fac_right.grid[1:]])
         out = []
         for j in range(rank_def):
             coeffs = np.real(vt[-1 - j] / scale)
@@ -579,8 +607,8 @@ def _confirmation_matcher(system, cfg, make):
     """
     if cfg.x_match is not None:
         return None
-    x_r = clearance_point(system, 1e-3, "right") + _match_pad(system)
-    if x_r >= _bound_match_right(system, cfg) - 1e-9:
+    x_r = _match_point(system, cfg, 1e-3, "right")
+    if x_r >= _match_point(system, cfg, _BOUND_TAIL_TOL, "right") - 1e-9:
         return None
     cfg2 = SolverConfig(step=cfg.step, match_tol=cfg.match_tol,
                         bracket_step=cfg.bracket_step, x_match=x_r)
@@ -662,29 +690,14 @@ def _orthonormalize(group):
 
 
 def _finalize_state(st) -> BoundState:
-    system: ChannelSystem = st["system"]
-    energy = st["energy"]
-    kappa = st["kappa"]
     lead = int(np.argmax(np.abs(st["dec_right"])))
     if st["dec_right"][lead] < 0:
         for key in ("values", "derivatives", "dec_right"):
             st[key] = -st[key]
         if st["dec_left"] is not None:
             st["dec_left"] = -st["dec_left"]
-    x_m_eff = st["grid"][-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_weights = st["values"][-1] * np.exp(kappa * x_m_eff)
-    c_datum = None
-    left_amp = None
-    if system.domain_kind == "half_line":
-        c_datum = make_datum(system, energy, "C", st["derivatives"][0])
-    elif st["dec_left"] is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            left_amp = st["values"][0] * np.exp(-kappa * st["grid"][0])
-    m_datum = make_datum(system, energy, "M", m_weights)
-    return BoundState(energy=float(energy), grid=st["grid"], values=st["values"],
-                      derivatives=st["derivatives"], c_datum=c_datum, m_datum=m_datum,
-                      left_amplitudes=left_amp)
+    return BoundState.of(st["system"], st["energy"], st["grid"], st["values"],
+                         st["derivatives"])
 
 
 def orthonormality_check(states) -> float:
@@ -713,62 +726,23 @@ def scattering_matrix(system: ChannelSystem, energy: float,
                       cfg: SolverConfig = SolverConfig()) -> ScatteringData:
     """Open-channel scattering data at one energy (above >= 1 threshold)."""
     _require_off_threshold(system, energy)
-    if not np.any(system.open_mask(energy)):
-        raise ConfigurationError("no open channel at this energy")
-    if system.domain_kind == "half_line":
-        return _half_line_smatrix(system, energy, cfg)
-    return _whole_line_smatrix(system, energy, cfg)
-
-
-_SCATTER_TAIL_TOL = 1e-8    # truncating |V| below this is invisible at 1e-6 in S
-
-
-def _scatter_match_right(system, cfg):
-    if cfg.x_match is not None:
-        return float(cfg.x_match)
-    x_m = clearance_point(system, _SCATTER_TAIL_TOL, "right") + _match_pad(system)
-    return min(x_m, right_match_point(system, cfg))
-
-
-def _scatter_match_left(system, cfg):
-    x_l = clearance_point(system, _SCATTER_TAIL_TOL, "left") - _match_pad(system)
-    return max(x_l, left_match_point(system, cfg))
-
-
-def _half_line_smatrix(system, energy, cfg):
-    n = system.n_channels
     open_mask = system.open_mask(energy)
-    x_m = _scatter_match_right(system, cfg)
-    _check_decayed(system, x_m, system.x_range()[1], tol=_SCATTER_TAIL_TOL)
-    xs = build_grid(0.0, x_m, cfg.step, _interior_knots(system))
-    fac = PropagatorFactory(system, xs)
-    y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
-    y = (transfer_product(fac.propagators(energy)) @ y0).astype(complex)
-    phi, dphi = y[:n], y[n:]
-    k = np.sqrt(np.abs(energy - system.effective_thresholds()))
-    rows_in = np.zeros((n, n), dtype=complex)
-    rows_grow = np.zeros((n, n), dtype=complex)
-    out_coef = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        if open_mask[a]:
-            rows_in[a] = 0.5 * (phi[a] + 1j * dphi[a] / k[a])       # p * exp(-i k x_m)
-            out_coef[a] = 0.5 * (phi[a] - 1j * dphi[a] / k[a])      # q * exp(+i k x_m)
-        else:
-            rows_grow[a] = 0.5 * (phi[a] + dphi[a] / k[a])
-    idx_open = np.nonzero(open_mask)[0]
-    n_open = len(idx_open)
-    lhs = np.vstack([rows_in[idx_open], rows_grow[~open_mask]])
-    rhs = np.zeros((n, n_open), dtype=complex)
-    for col, a in enumerate(idx_open):
-        rhs[col, col] = np.exp(-1j * k[a] * x_m) / math.sqrt(k[a])
-    x_comb = np.linalg.solve(lhs, rhs)
-    q = out_coef[idx_open] @ x_comb
-    s = np.empty((n_open, n_open), dtype=complex)
-    for row, a in enumerate(idx_open):
-        s[row] = -math.sqrt(k[a]) * np.exp(-1j * k[a] * x_m) * q[row]
-    defect = float(np.max(np.abs(s.conj().T @ s - np.eye(n_open))))
+    if not np.any(open_mask):
+        raise ConfigurationError("no open channel at this energy")
+    # keep only the blocks, so one side's step matrices are freed before
+    # the other side's are built
+    if system.domain_kind == "half_line":
+        s = -_incidence(system, energy, cfg, "right")[5]
+        blocks = {}
+    else:
+        t_r, r_r = _incidence(system, energy, cfg, "right")[4:]
+        t_l, r_l = _incidence(system, energy, cfg, "left")[4:]
+        s = np.block([[t_r, r_l], [r_r, t_l]])
+        blocks = {"transmission_right": t_r, "reflection_right": r_r,
+                  "transmission_left": t_l, "reflection_left": r_l}
+    defect = float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))))
     phases = np.sort(np.angle(np.linalg.eigvals(s)) / 2.0)
-    return ScatteringData(float(energy), open_mask, s, phases, defect)
+    return ScatteringData(float(energy), open_mask, s, phases, defect, **blocks)
 
 
 def _free_decompose(y, k, open_mask):
@@ -794,69 +768,48 @@ def _free_decompose(y, k, open_mask):
     return minus, plus, grow, decay
 
 
-def _whole_line_combination(system, energy, cfg, side):
-    """Basis data and the combination matrix for unit incidence per open channel."""
+def _incidence(system, energy, cfg, side):
+    """Unit flux-normalized incidence from ``side`` in each open channel.
+
+    The start basis sits on the side away from the incidence: regular at 0
+    on the half line; transmitted or decaying on the whole line.  Propagated
+    across the segment to the incidence side, it is combined so that each
+    open channel carries one incoming wave and no closed channel grows.  Returns (segment, step
+    matrices, start basis, combination, transmission, reflection); rows and
+    columns of the blocks run over open channels.
+    """
     n = system.n_channels
     open_mask = system.open_mask(energy)
     k = np.sqrt(np.abs(energy - system.effective_thresholds()))
-    x_l = _scatter_match_left(system, cfg)
-    x_r = _scatter_match_right(system, cfg)
+    x_r = _match_point(system, cfg, _SCATTER_TAIL_TOL, "right")
     _check_decayed(system, x_r, system.x_range()[1], tol=_SCATTER_TAIL_TOL)
-    xs = build_grid(x_l, x_r, cfg.step, _interior_knots(system))
-    idx_open = np.nonzero(open_mask)[0]
-    n_open = len(idx_open)
-    rhs = np.zeros((n, n_open), dtype=complex)
-    if side == "right":
-        rates = np.where(open_mask, -1j * k, k)    # transmitted / decaying toward -inf
+    if system.domain_kind == "half_line":
+        x_l = 0.0
+        y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
+    else:
+        x_l = _match_point(system, cfg, _SCATTER_TAIL_TOL, "left")
+        rates = (np.where(open_mask, -1j * k, k) if side == "right"   # toward -inf
+                 else np.where(open_mask, 1j * k, -k))                  # toward +inf
         y0 = np.vstack([np.eye(n), np.diag(rates)]).astype(complex)
-        fac = PropagatorFactory(system, xs)
-        y_far = transfer_product(fac.propagators(energy)).astype(complex) @ y0
-        minus, plus, grow, _ = _free_decompose(y_far, k, open_mask)
-        lhs = np.vstack([minus[idx_open], grow[~open_mask]])
-        for col, a in enumerate(idx_open):
-            rhs[col, col] = np.exp(-1j * k[a] * x_r) / math.sqrt(k[a])
-        x_comb = np.linalg.solve(lhs, rhs)
-        return xs, y0, x_comb, plus, k, open_mask, x_l, x_r
-    rates = np.where(open_mask, 1j * k, -k)        # outgoing / decaying toward +inf
-    y0 = np.vstack([np.eye(n), np.diag(rates)]).astype(complex)
-    fac = PropagatorFactory(system, xs[::-1])
-    y_far = transfer_product(fac.propagators(energy)).astype(complex) @ y0
-    minus, plus, _, decay = _free_decompose(y_far, k, open_mask)
-    lhs = np.vstack([plus[idx_open], decay[~open_mask]])
-    for col, a in enumerate(idx_open):
-        rhs[col, col] = np.exp(1j * k[a] * x_l) / math.sqrt(k[a])
-    x_comb = np.linalg.solve(lhs, rhs)
-    return xs, y0, x_comb, minus, k, open_mask, x_l, x_r
-
-
-def _whole_line_blocks(system, energy, cfg, side):
-    xs, y0, x_comb, refl_coef, k, open_mask, x_l, x_r = \
-        _whole_line_combination(system, energy, cfg, side)
+    x_in, x_out, sign = (x_r, x_l, -1j) if side == "right" else (x_l, x_r, 1j)
+    fac = segment(system, x_out, x_in, cfg)
+    props = fac.propagators(energy)
+    minus, plus, grow, decay = _free_decompose(
+        np.asarray(transfer_product(props) @ y0, dtype=complex), k, open_mask)
+    incoming, outgoing, growing = ((minus, plus, grow) if side == "right"
+                                   else (plus, minus, decay))
     idx_open = np.nonzero(open_mask)[0]
-    n_open = len(idx_open)
-    refl = np.empty((n_open, n_open), dtype=complex)
-    trans = np.empty((n_open, n_open), dtype=complex)
-    q = refl_coef[idx_open] @ x_comb
+    rhs = np.zeros((n, len(idx_open)), dtype=complex)
+    for col, a in enumerate(idx_open):
+        rhs[col, col] = np.exp(sign * k[a] * x_in) / math.sqrt(k[a])
+    x_comb = np.linalg.solve(np.vstack([incoming[idx_open], growing[~open_mask]]), rhs)
+    q = outgoing[idx_open] @ x_comb
+    trans = np.empty((len(idx_open), len(idx_open)), dtype=complex)
+    refl = np.empty_like(trans)
     for row, a in enumerate(idx_open):
-        if side == "right":
-            refl[row] = math.sqrt(k[a]) * np.exp(-1j * k[a] * x_r) * q[row]
-            trans[row] = math.sqrt(k[a]) * np.exp(1j * k[a] * x_l) * x_comb[a]
-        else:
-            refl[row] = math.sqrt(k[a]) * np.exp(1j * k[a] * x_l) * q[row]
-            trans[row] = math.sqrt(k[a]) * np.exp(-1j * k[a] * x_r) * x_comb[a]
-    return trans, refl
-
-
-def _whole_line_smatrix(system, energy, cfg):
-    open_mask = system.open_mask(energy)
-    t_r, r_r = _whole_line_blocks(system, energy, cfg, "right")
-    t_l, r_l = _whole_line_blocks(system, energy, cfg, "left")
-    s = np.block([[t_r, r_l], [r_r, t_l]])
-    defect = float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))))
-    phases = np.sort(np.angle(np.linalg.eigvals(s)) / 2.0)
-    return ScatteringData(float(energy), open_mask, s, phases, defect,
-                          transmission_right=t_r, reflection_right=r_r,
-                          transmission_left=t_l, reflection_left=r_l)
+        refl[row] = math.sqrt(k[a]) * np.exp(sign * k[a] * x_in) * q[row]
+        trans[row] = math.sqrt(k[a]) * np.exp(-sign * k[a] * x_out) * x_comb[a]
+    return fac, props, y0, x_comb, trans, refl
 
 
 def scattering_state(system: ChannelSystem, energy: float, amplitudes,
@@ -869,19 +822,12 @@ def scattering_state(system: ChannelSystem, energy: float, amplitudes,
     _require_off_threshold(system, energy)
     if system.domain_kind != "whole_line":
         raise ConfigurationError("scattering_state expects a whole-line system")
-    xs, y0, x_comb, _, k, open_mask, x_l, x_r = \
-        _whole_line_combination(system, energy, cfg, side)
+    fac, props, y0, x_comb, _, _ = _incidence(system, energy, cfg, side)
     n = system.n_channels
     combo = y0 @ (x_comb @ np.asarray(amplitudes, dtype=complex))
-    if side == "right":
-        fac = PropagatorFactory(system, xs)
-        traj = propagate_trajectory(fac.propagators(energy).astype(complex), xs,
-                                    combo[:, None])
-    else:
-        fac = PropagatorFactory(system, xs[::-1])
-        traj = propagate_trajectory(fac.propagators(energy).astype(complex), xs[::-1],
-                                    combo[:, None])[::-1]
-    return xs, traj[:, :n, 0], traj[:, n:, 0]
+    traj = fac._increasing(propagate_trajectory(props.astype(complex), fac.xs,
+                                                combo[:, None]))
+    return fac.grid, traj[:, :n, 0], traj[:, n:, 0]
 
 
 def total_flux(values, derivatives, system: ChannelSystem, energy: float) -> float:
@@ -906,10 +852,10 @@ class ResonanceEstimate:
 def _entrance_amplitude(system, energy, channel, cfg):
     open_mask = system.open_mask(energy)
     pos = int(np.nonzero(np.nonzero(open_mask)[0] == channel)[0][0])
+    trans, refl = _incidence(system, energy, cfg, "right")[4:]
     if system.domain_kind == "whole_line":
-        trans, _ = _whole_line_blocks(system, energy, cfg, "right")
         return trans[pos, pos]
-    return _half_line_smatrix(system, energy, cfg).s_matrix[pos, pos]
+    return -refl[pos, pos]
 
 
 def estimate_resonance_width(system: ChannelSystem, e_center: float, e_halfwidth: float,

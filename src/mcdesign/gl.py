@@ -14,16 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import (BoundState, ChannelSystem, GridSampled, MatrixSolution,
-                     SumPotential, make_datum)
+                     SumPotential, require_same_grid)
 from .dressing import Dressing, DressingTerm, cumulative_from_start, rank_one
 from .errors import ConfigurationError
 from . import engine
 from .engine import SolverConfig
-
-
-def _require_same_grid(a, b, what):
-    if len(a) != len(b) or not np.allclose(a, b, rtol=0.0, atol=1e-12):
-        raise ConfigurationError(f"{what} must share the solver grid (same system and config)")
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class GlTransformResult:
 
     def map_regular(self, sol: MatrixSolution) -> MatrixSolution:
         """Transformed regular solution at the probe energy of ``sol``."""
-        _require_same_grid(self.grid, sol.grid, "probe solutions")
+        require_same_grid(self.grid, sol.grid, "probe solutions")
         vals, ders = self.dressing.map_values(sol.values, sol.derivatives)
         return MatrixSolution(sol.energy, "regular", sol.grid, vals, ders)
 
@@ -78,7 +73,7 @@ def transform_bound_state(spec: GlTransformSpec, phi_new: MatrixSolution,
     """
     system = spec.system
     state = spec.state
-    _require_same_grid(state.grid, phi_new.grid, "bound state and regular solution")
+    require_same_grid(state.grid, phi_new.grid, "bound state and regular solution")
     u_new = phi_new.values @ spec.new_weights
     du_new = phi_new.derivatives @ spec.new_weights
     kappa_old = np.sqrt(system.effective_thresholds() - state.energy)
@@ -94,13 +89,7 @@ def transform_bound_state(spec: GlTransformSpec, phi_new: MatrixSolution,
                                "new_weights": [float(w) for w in spec.new_weights]})
     new_system = replace(system, potential=pot)
     vals, ders = dress.state(0)
-    kappa = np.sqrt(new_system.effective_thresholds() - spec.new_energy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_weights = vals[-1] * np.exp(kappa * state.grid[-1])
-    new_state = BoundState(energy=float(spec.new_energy), grid=state.grid,
-                           values=vals, derivatives=ders,
-                           c_datum=make_datum(new_system, spec.new_energy, "C", ders[0]),
-                           m_datum=make_datum(new_system, spec.new_energy, "M", m_weights))
+    new_state = BoundState.of(new_system, spec.new_energy, state.grid, vals, ders)
     return GlTransformResult(new_system, pot, state.grid, new_state, dress)
 
 
@@ -120,13 +109,9 @@ def matched_bsec_weights(system: ChannelSystem, energy: float,
     if np.all(open_mask) or not np.any(open_mask):
         raise ConfigurationError("matched BSEC weights need both open and closed channels")
     x_m = engine.right_match_point(system, cfg)
-    xs = engine.build_grid(0.0, x_m, cfg.step,
-                           [*system.potential.breakpoints(),
-                            *(d.location for d in system.potential.delta_terms())])
-    fac = engine.PropagatorFactory(system, xs)
     n = system.n_channels
     y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
-    y = engine.transfer_product(fac.propagators(energy)) @ y0
+    y = engine.segment(system, 0.0, x_m, cfg).transfer(energy) @ y0
     phi, dphi = y[:n], y[n:]
     kappa = np.sqrt(np.abs(energy - system.effective_thresholds()))
     closed = ~open_mask
@@ -305,13 +290,11 @@ def create_bsec(system: ChannelSystem, energy: float, weights,
     if not np.any(open_mask):
         raise ConfigurationError("BSEC creation needs at least one open channel")
     x_j = engine.right_match_point(system, cfg)
-    xs = engine.build_grid(0.0, x_j, cfg.step,
-                           [*system.potential.breakpoints(),
-                            *(d.location for d in system.potential.delta_terms())])
-    fac = engine.PropagatorFactory(system, xs)
+    fac = engine.segment(system, 0.0, x_j, cfg)
+    xs = fac.grid
     n = system.n_channels
     y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
-    traj = engine.propagate_trajectory(fac.propagators(energy), xs, y0)
+    traj = fac.trajectory(energy, y0)
     u = traj[:, :n, :] @ weights
     du = traj[:, n:, :] @ weights
     # far-field decomposition at x_j

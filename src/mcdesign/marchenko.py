@@ -23,7 +23,7 @@ from .domain import (
     MatrixSolution,
     SumPotential,
     free_potential,
-    make_datum,
+    require_same_grid,
 )
 from .dressing import Dressing, DressingTerm
 from .errors import ConfigurationError, InvalidSpecError, SingularTransformError
@@ -339,30 +339,12 @@ class MarchenkoTransformResult:
 
     def map_jost(self, sol: MatrixSolution) -> MatrixSolution:
         """Transformed Jost solution at the probe energy of ``sol``."""
-        if len(sol.grid) != len(self.grid) or not np.allclose(sol.grid, self.grid,
-                                                              rtol=0.0, atol=1e-12):
-            raise ConfigurationError("probe solution must share the transform grid")
+        require_same_grid(sol.grid, self.grid, "probe solution and transform")
         momenta = self.system.channel_momenta(sol.energy)
         rates = np.asarray(1j * momenta)   # psi ~ exp(-ikx): rate +ik (Re >= 0)
         vals, ders = self.dressing.map_values(sol.values, sol.derivatives,
                                               tail_rates=rates)
         return MatrixSolution(sol.energy, "jost", sol.grid, vals, ders)
-
-
-def _bound_state_from(system, energy, grid, vals, ders) -> BoundState:
-    kappa = np.sqrt(system.effective_thresholds() - energy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_weights = vals[-1] * np.exp(kappa * grid[-1])
-    c_datum = None
-    if system.domain_kind == "half_line":
-        c_datum = make_datum(system, energy, "C", ders[0])
-    left = None
-    if system.domain_kind == "whole_line":
-        with np.errstate(over="ignore", invalid="ignore"):
-            left = vals[0] * np.exp(-kappa * grid[0])
-    return BoundState(energy=float(energy), grid=grid, values=vals, derivatives=ders,
-                      c_datum=c_datum, m_datum=make_datum(system, energy, "M", m_weights),
-                      left_amplitudes=left)
 
 
 def _wrap_transformed(system, dress, grid, energy, params) -> MarchenkoTransformResult:
@@ -373,7 +355,7 @@ def _wrap_transformed(system, dress, grid, energy, params) -> MarchenkoTransform
     state = None
     if energy is not None:
         vals, ders = dress.state(0)
-        state = _bound_state_from(new_system, energy, grid, vals, ders)
+        state = BoundState.of(new_system, energy, grid, vals, ders)
     return MarchenkoTransformResult(new_system, pot, grid, state, dress)
 
 
@@ -437,9 +419,7 @@ def move_level(system: ChannelSystem, state: BoundState, new_energy: float,
         new_weights = state.m_datum.weights
     new_weights = np.asarray(new_weights, dtype=float)
     jost_new = engine.integrate_jost(system, new_energy, cfg)
-    if len(jost_new.grid) != len(state.grid) or not np.allclose(jost_new.grid, state.grid,
-                                                                rtol=0.0, atol=1e-12):
-        raise ConfigurationError("state and Jost solution must share the solver grid")
+    require_same_grid(jost_new.grid, state.grid, "state and Jost solution")
     f_new = jost_new.values @ new_weights
     df_new = jost_new.derivatives @ new_weights
     old = DressingTerm(state.values.copy(), state.derivatives.copy(), -1.0,

@@ -204,6 +204,8 @@ def scenario_fig4(params, overrides):
     """Two degenerate levels; dependence direction controls block separation."""
     e_b = params["energy"]
     sweep = params["second_weights"]
+    if not sweep:
+        raise ConfigurationError("second_weights must list at least one weight")
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.02)
     x_max = _xmax(overrides, 40.0)
     thresholds = (0.0, 0.0)
@@ -609,6 +611,8 @@ def scenario_gap_creation(params, overrides):
     cfg = _cfg(overrides, step=1e-3)
     lam, vec = np.linalg.eigh(v0 + np.diag(thresholds))
     branch = params["branch"]
+    if not 0 <= branch < len(lam):
+        raise ConfigurationError(f"branch must lie in [0, {len(lam) - 1}], got {branch}")
     e_n = float(lam[branch] + (mode * math.pi / period) ** 2)
     xs = engine.build_grid(0.0, period, cfg.step)
     amp = math.sqrt(2.0 / period)
@@ -627,9 +631,8 @@ def scenario_gap_creation(params, overrides):
     # periodized direct check over four periods
     per_sys = bands.periodized_system(raked.potential, thresholds, period, 4, cfg)
     grid4 = engine.system_grid(per_sys, cfg)
-    fac4 = engine.PropagatorFactory(per_sys, grid4)
     y0 = np.concatenate([np.zeros(2), raked.state_derivatives[0]])
-    traj = engine.propagate_trajectory(fac4.propagators(e_n), grid4, y0[:, None])
+    traj = engine.PropagatorFactory(per_sys, grid4).trajectory(e_n, y0[:, None])
     ratios = []
     for j in range(1, 5):
         i = int(np.argmin(np.abs(grid4 - j * period)))
@@ -658,6 +661,8 @@ def scenario_level_splitting(params, overrides):
     wall = params["wall_height"]
     w = params["coupling"]
     n_levels = params["levels"]
+    if n_levels < 1:
+        raise ConfigurationError(f"levels must be at least 1, got {n_levels}")
     cfg = _cfg(overrides, step=1e-3, bracket_step=0.05)
     inner = np.array([[0.0, w], [w, 0.0]])
     wall_m = wall * np.eye(2)

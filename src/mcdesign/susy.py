@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import (ChannelSystem, GridSampled, MatrixSolution,
-                     SumPotential)
+from .domain import (ChannelSystem, GridSampled, MatrixSolution, SumPotential,
+                     require_same_grid)
 from .dressing import cumulative_from_start, interval_contributions, rank_one
 from .errors import ConfigurationError, SingularTransformError
 from . import engine
@@ -86,9 +86,7 @@ def map_solution(fac: Factorization, sol: MatrixSolution) -> MatrixSolution:
     psi1 = W psi - psi' and psi1' = (E - E_f) psi - W psi1, so no numerical
     differentiation enters.  The seed itself maps to zero.
     """
-    if len(sol.grid) != len(fac.grid) or not np.allclose(sol.grid, fac.grid,
-                                                         rtol=0.0, atol=1e-12):
-        raise ConfigurationError("solution must live on the factorization grid")
+    require_same_grid(sol.grid, fac.grid, "solution and factorization")
     vals = np.asarray(sol.values)
     ders = np.asarray(sol.derivatives)
     squeeze = vals.ndim == 2
@@ -113,16 +111,7 @@ def intertwining_defect(fac: Factorization, partner: ChannelSystem,
     """
     base = fac.system
     xs = sol.grid
-    h = np.diff(xs)
-    idx = np.arange(2, len(xs) - 2, 8)
-    idx = idx[np.isclose(h[idx - 1], h[idx], rtol=1e-9)
-              & np.isclose(h[idx - 2], h[idx - 1], rtol=1e-9)
-              & np.isclose(h[idx], h[idx + 1], rtol=1e-9)]
-    special = list(base.potential.breakpoints())
-    special += [d.location for d in base.potential.delta_terms()]
-    h_max = float(np.max(h))
-    for s in special:
-        idx = idx[np.abs(xs[idx] - s) > 4.5 * h_max]
+    idx = engine.stencil_nodes(base, xs, 8, 4.5)
 
     def h_apply(system, vals, i):
         hh = (xs[i] - xs[i - 1])[:, None, None]

@@ -177,3 +177,17 @@ def test_empty_level_search_is_a_numerical_error(tmp_path, capsys, scenario, par
     assert cli.main(["run", str(path), str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "no bound state" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario, params", [
+    ("fig5", {"thresholds": [2, 1]}),
+    ("fig4", {"second_weights": []}),
+    ("gap_creation", {"branch": 5}),
+    ("level_splitting", {"levels": 0}),
+])
+def test_out_of_range_params_exit_without_traceback(tmp_path, capsys, scenario, params):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "name": "bad", "scenario": scenario,
+                                "params": params}))
+    assert cli.main(["run", str(path), str(tmp_path / "out")]) in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err

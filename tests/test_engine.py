@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdesign import engine, marchenko
+from mcdesign import bands, engine, marchenko
 from mcdesign.domain import (
     ChannelSystem,
+    DeltaTerm,
     PiecewiseConstant,
     free_potential,
 )
@@ -275,3 +276,50 @@ def test_reciprocity_of_the_side_blocks(cfg):
     assert np.max(np.abs(d.transmission_left - d.transmission_right.T)) < 1e-10
     assert np.max(np.abs(d.reflection_right - d.reflection_right.T)) < 1e-10
     assert np.max(np.abs(d.reflection_left - d.reflection_left.T)) < 1e-10
+
+
+def test_delta_pair_transmission_matches_the_closed_form(cfg):
+    # psi' jumps by g psi at each delta; |t|^2 from the product of the two
+    # jump matrices and the free propagation between them
+    g, a, e = 3.0, 2.0, 2.0
+    pot = PiecewiseConstant(1, deltas=[DeltaTerm(-a, [[g]]), DeltaTerm(a, [[g]])])
+    system = ChannelSystem((0.0,), pot, "whole_line", 8.0)
+    k = math.sqrt(e)
+    jump = np.array([[1.0, 0.0], [g, 1.0]])
+    free = np.array([[math.cos(2 * a * k), math.sin(2 * a * k) / k],
+                     [-k * math.sin(2 * a * k), math.cos(2 * a * k)]])
+    m = jump @ free @ jump
+    t2 = 4.0 / (m[0, 0] ** 2 + m[1, 1] ** 2 + (k * m[0, 1]) ** 2 + (m[1, 0] / k) ** 2 + 2.0)
+    d = engine.scattering_matrix(system, e, cfg)
+    assert abs(abs(d.transmission_right[0, 0]) ** 2 - t2) < 1e-10
+
+
+def test_comb_window_smatrix_does_not_depend_on_the_match_point(cfg):
+    spec = bands.CombSpec(1.0, np.array([[2.0, 0.8], [0.8, -1.0]]), (0.0, 0.5))
+    window = bands.comb_system(spec, n_periods=3)      # deltas at 0, 1, 2
+    auto = engine.scattering_matrix(window, 2.3, cfg).s_matrix
+    explicit = engine.scattering_matrix(
+        window, 2.3, SolverConfig(step=cfg.step, x_match=2.5)).s_matrix
+    assert np.max(np.abs(auto - explicit)) < 1e-10
+
+
+def test_match_point_inside_the_delta_span_is_rejected(cfg):
+    spec = bands.CombSpec(1.0, np.array([[2.0, 0.8], [0.8, -1.0]]), (0.0, 0.5))
+    window = bands.comb_system(spec, n_periods=3)
+    with pytest.raises(ConfigurationError):
+        engine.scattering_matrix(window, 2.3, SolverConfig(step=cfg.step, x_match=1.5))
+
+
+@pytest.mark.parametrize("energy", [0.3, 2.0, 4.5])
+def test_half_line_smatrix_is_the_odd_part_of_the_mirrored_whole_line(cfg, energy):
+    # a Dirichlet wall at 0 keeps the odd solutions of the mirror-symmetric
+    # whole-line system, whose S in that sector is t_R - r_R
+    m = np.array([[3.0, 1.2], [1.2, -2.0]])
+    half = ChannelSystem((0.0, 0.5), PiecewiseConstant(2, pieces=[(0.0, 1.0, m)]),
+                         "half_line", 10.0)
+    whole = ChannelSystem((0.0, 0.5), PiecewiseConstant(2, pieces=[(-1.0, 1.0, m)]),
+                          "whole_line", 10.0)
+    s = engine.scattering_matrix(half, energy, cfg).s_matrix
+    d = engine.scattering_matrix(whole, energy, cfg)
+    assert s.shape == d.transmission_right.shape
+    assert np.max(np.abs(s - (d.transmission_right - d.reflection_right))) < 1e-10
