@@ -16,6 +16,7 @@ beyond the interaction region.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,6 @@ class PropagatorFactory:
     """
 
     def __init__(self, system: ChannelSystem, xs: np.ndarray):
-        self.system = system
         self.xs = np.asarray(xs, dtype=float)
         self.h = np.diff(self.xs)
         if len(self.h) == 0 or (np.any(self.h > 0) and np.any(self.h < 0)):
@@ -103,12 +103,13 @@ class PropagatorFactory:
         self._b1 = pot.matrix_batch(x_lo) + eps
         self._bm = pot.matrix_batch(x_mid) + eps
         self._b4 = pot.matrix_batch(x_hi) + eps
-        self._jumps = self._locate_jumps()
+        self._jumps = self._locate_jumps(system)
 
-    def _locate_jumps(self):
+    def _locate_jumps(self, system: ChannelSystem):
+        # the system is not kept: a cached factory must not keep it alive
         jumps = []
         lo, hi = min(self.xs[0], self.xs[-1]), max(self.xs[0], self.xs[-1])
-        for d in self.system.potential.delta_terms():
+        for d in system.potential.delta_terms():
             idx = np.nonzero(np.abs(self.xs - d.location) < _DELTA_SNAP)[0]
             if idx.size == 0:
                 if lo < d.location < hi:
@@ -122,6 +123,8 @@ class PropagatorFactory:
         h = self.h[:, None, None]
         eye = np.eye(self.n)
         a1 = self._b1 - energy * eye
+        if a1.dtype.kind == "c":
+            raise ConfigurationError(f"energy must be real, got {energy!r}")
         am = self._bm - energy * eye
         a4 = self._b4 - energy * eye
         am_a1 = am @ a1
@@ -768,6 +771,55 @@ def _free_decompose(y, k, open_mask):
     return minus, plus, grow, decay
 
 
+class _ScatterPlan:
+    """The energy-independent part of the S read-out for one (system, cfg):
+    effective thresholds, the scatter match points (kept only once the decay
+    check has passed) and, on first use, each incidence side's segment, all
+    from the calls ``_incidence`` would make per energy.  The system is held
+    weakly, so a plan never keeps it alive.
+    """
+
+    def __init__(self, system: ChannelSystem, cfg: SolverConfig):
+        self.eps_eff = system.effective_thresholds()
+        self.x_r = _match_point(system, cfg, _SCATTER_TAIL_TOL, "right")
+        _check_decayed(system, self.x_r, system.x_range()[1], tol=_SCATTER_TAIL_TOL)
+        self.x_l = (0.0 if system.domain_kind == "half_line"
+                    else _match_point(system, cfg, _SCATTER_TAIL_TOL, "left"))
+        self.cfg = cfg
+        self.system = weakref.ref(system, _drop_plan)
+        self._segments = {}
+
+    def segment(self, system: ChannelSystem, side: str) -> PropagatorFactory:
+        """From the start basis, on the side away from ``side``, to ``side``."""
+        if side not in self._segments:
+            x_in, x_out = (self.x_r, self.x_l) if side == "right" else (self.x_l, self.x_r)
+            self._segments[side] = segment(system, x_out, x_in, self.cfg)
+        return self._segments[side]
+
+
+# one slot: sweeps reuse it, and no live system holds on to its segments
+_last_plan: _ScatterPlan | None = None
+
+
+def _drop_plan(ref):
+    global _last_plan
+    if _last_plan is not None and _last_plan.system is ref:
+        _last_plan = None
+
+
+def _scatter_plan(system: ChannelSystem, cfg: SolverConfig) -> _ScatterPlan:
+    """The plan for (system, cfg): the kept one if it matches, else a new one.
+
+    Systems match by identity, configs by equality.  A plan whose decay
+    check fails raises from its constructor and is never kept.
+    """
+    global _last_plan
+    plan = _last_plan
+    if plan is None or plan.system() is not system or plan.cfg != cfg:
+        plan = _last_plan = _ScatterPlan(system, cfg)
+    return plan
+
+
 def _incidence(system, energy, cfg, side):
     """Unit flux-normalized incidence from ``side`` in each open channel.
 
@@ -776,23 +828,22 @@ def _incidence(system, energy, cfg, side):
     across the segment to the incidence side, it is combined so that each
     open channel carries one incoming wave and no closed channel grows.  Returns (segment, step
     matrices, start basis, combination, transmission, reflection); rows and
-    columns of the blocks run over open channels.
+    columns of the blocks run over open channels.  Match points and segments
+    come from the (system, cfg) plan; only the work below depends on E.
     """
+    plan = _scatter_plan(system, cfg)
     n = system.n_channels
-    open_mask = system.open_mask(energy)
-    k = np.sqrt(np.abs(energy - system.effective_thresholds()))
-    x_r = _match_point(system, cfg, _SCATTER_TAIL_TOL, "right")
-    _check_decayed(system, x_r, system.x_range()[1], tol=_SCATTER_TAIL_TOL)
+    open_mask = energy > plan.eps_eff
+    k = np.sqrt(np.abs(energy - plan.eps_eff))
     if system.domain_kind == "half_line":
-        x_l = 0.0
         y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
     else:
-        x_l = _match_point(system, cfg, _SCATTER_TAIL_TOL, "left")
         rates = (np.where(open_mask, -1j * k, k) if side == "right"   # toward -inf
                  else np.where(open_mask, 1j * k, -k))                  # toward +inf
         y0 = np.vstack([np.eye(n), np.diag(rates)]).astype(complex)
-    x_in, x_out, sign = (x_r, x_l, -1j) if side == "right" else (x_l, x_r, 1j)
-    fac = segment(system, x_out, x_in, cfg)
+    x_in, x_out, sign = ((plan.x_r, plan.x_l, -1j) if side == "right"
+                         else (plan.x_l, plan.x_r, 1j))
+    fac = plan.segment(system, side)
     props = fac.propagators(energy)
     minus, plus, grow, decay = _free_decompose(
         np.asarray(transfer_product(props) @ y0, dtype=complex), k, open_mask)

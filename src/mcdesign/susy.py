@@ -134,24 +134,6 @@ def intertwining_defect(fac: Factorization, partner: ChannelSystem,
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def complementary_seed(fac: Factorization, constant: np.ndarray) -> MatrixSolution:
-    """Partner-system solution (Psi0^T)^{-1} (C + int_x0^x Psi0^T Psi0 dy).
-
-    These span the partner solutions at the factorization energy; the choice
-    of C selects the second transform of a double step (C = I/(r^2-1) scales
-    the attached weight by r, C -> 0 removes the level).
-    """
-    c = np.asarray(constant, dtype=float)
-    prods = np.matmul(np.swapaxes(fac.seed_values, 1, 2), fac.seed_values)
-    s = c + cumulative_from_start(fac.grid, prods)
-    inv_t = np.linalg.inv(np.swapaxes(fac.seed_values, 1, 2))
-    chi = np.matmul(inv_t, s)
-    # chi' = Psi0 - (Psi0^T)^{-1} Psi0'^T chi
-    chi_d = fac.seed_values - np.matmul(
-        inv_t, np.matmul(np.swapaxes(fac.seed_derivatives, 1, 2), chi))
-    return MatrixSolution(fac.energy, "regular", fac.grid, chi, chi_d)
-
-
 def image_seed(fac: Factorization, sol: MatrixSolution) -> MatrixSolution:
     """Second-step seed from the partner image of an independent solution."""
     if abs(sol.energy - fac.energy) > 1e-12:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -278,20 +280,26 @@ def test_reciprocity_of_the_side_blocks(cfg):
     assert np.max(np.abs(d.reflection_left - d.reflection_left.T)) < 1e-10
 
 
-def test_delta_pair_transmission_matches_the_closed_form(cfg):
+def _delta_pair(g, a):
+    pot = PiecewiseConstant(1, deltas=[DeltaTerm(-a, [[g]]), DeltaTerm(a, [[g]])])
+    return ChannelSystem((0.0,), pot, "whole_line", 8.0)
+
+
+def _delta_pair_t2(g, a, e):
     # psi' jumps by g psi at each delta; |t|^2 from the product of the two
     # jump matrices and the free propagation between them
-    g, a, e = 3.0, 2.0, 2.0
-    pot = PiecewiseConstant(1, deltas=[DeltaTerm(-a, [[g]]), DeltaTerm(a, [[g]])])
-    system = ChannelSystem((0.0,), pot, "whole_line", 8.0)
     k = math.sqrt(e)
     jump = np.array([[1.0, 0.0], [g, 1.0]])
     free = np.array([[math.cos(2 * a * k), math.sin(2 * a * k) / k],
                      [-k * math.sin(2 * a * k), math.cos(2 * a * k)]])
     m = jump @ free @ jump
-    t2 = 4.0 / (m[0, 0] ** 2 + m[1, 1] ** 2 + (k * m[0, 1]) ** 2 + (m[1, 0] / k) ** 2 + 2.0)
-    d = engine.scattering_matrix(system, e, cfg)
-    assert abs(abs(d.transmission_right[0, 0]) ** 2 - t2) < 1e-10
+    return 4.0 / (m[0, 0] ** 2 + m[1, 1] ** 2 + (k * m[0, 1]) ** 2 + (m[1, 0] / k) ** 2 + 2.0)
+
+
+def test_delta_pair_transmission_matches_the_closed_form(cfg):
+    g, a, e = 3.0, 2.0, 2.0
+    d = engine.scattering_matrix(_delta_pair(g, a), e, cfg)
+    assert abs(abs(d.transmission_right[0, 0]) ** 2 - _delta_pair_t2(g, a, e)) < 1e-10
 
 
 def test_comb_window_smatrix_does_not_depend_on_the_match_point(cfg):
@@ -323,3 +331,61 @@ def test_half_line_smatrix_is_the_odd_part_of_the_mirrored_whole_line(cfg, energ
     d = engine.scattering_matrix(whole, energy, cfg)
     assert s.shape == d.transmission_right.shape
     assert np.max(np.abs(s - (d.transmission_right - d.reflection_right))) < 1e-10
+
+
+def _barrier_with_delta():
+    m = np.array([[3.0, 1.2], [1.2, -2.0]])
+    pot = PiecewiseConstant(2, pieces=[(-1.0, 1.0, m)],
+                            deltas=[DeltaTerm(1.5, [[0.7, 0.2], [0.2, -0.4]])])
+    return ChannelSystem((0.0, 0.5), pot, "whole_line", 10.0)
+
+
+def test_swept_energies_equal_cold_ones_exactly(cfg):
+    # one system swept (its S plan reused) against a fresh equal system per
+    # energy (a new plan each time): the reuse must not move a single bit
+    energies = [0.3, 1.0, 2.0, 3.1, 4.5]
+    system = _barrier_with_delta()
+    warm = []
+    for e in energies:
+        d = engine.scattering_matrix(system, e, cfg)
+        amps = np.ones(int(np.sum(d.open_mask)))
+        warm.append((d.s_matrix, *engine.scattering_state(system, e, amps, "left", cfg)))
+    for e, got in zip(energies, warm):
+        d = engine.scattering_matrix(_barrier_with_delta(), e, cfg)
+        amps = np.ones(int(np.sum(d.open_mask)))
+        want = (d.s_matrix,
+                *engine.scattering_state(_barrier_with_delta(), e, amps, "left", cfg))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_each_new_system_gets_its_own_plan(cfg):
+    # systems built and dropped one after another may reuse a freed address;
+    # a plan of the previous delta pair would give its transmission instead
+    for i in range(20):
+        g = 0.5 + 0.25 * i
+        d = engine.scattering_matrix(_delta_pair(g, 2.0), 2.0, cfg)
+        assert abs(abs(d.transmission_right[0, 0]) ** 2 - _delta_pair_t2(g, 2.0, 2.0)) < 1e-10
+
+
+def test_the_plan_does_not_keep_its_system_alive(cfg):
+    system = _delta_pair(3.0, 2.0)
+    ref = weakref.ref(system)
+    engine.scattering_matrix(system, 2.0, cfg)
+    del system
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_failed_decay_check_is_not_cached(cfg):
+    pot = PiecewiseConstant(1, pieces=[(-1.0, 50.0, [[0.3]])])
+    system = ChannelSystem((0.0,), pot, "whole_line", 10.0)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            engine.scattering_matrix(system, 2.0, cfg)
+
+
+def test_complex_energy_is_rejected_by_the_step_matrices():
+    system = ChannelSystem((0.0,), free_potential(1), "half_line", 5.0)
+    fac = engine.PropagatorFactory(system, np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ConfigurationError):
+        fac.propagators(1.2 - 0.02j)
