@@ -6,10 +6,12 @@
 Each pair runs ``python3 perfbench/run.py --workload WORKLOAD --seed SEED
 --seconds 30 --trace 0`` once in each checkout; the order flips from pair to
 pair so slow drift of a shared host falls on both sides alike.  OUT (JSON)
-gets every run's metrics, ``correct``, ``failed``, per-kind failure reasons
-and accuracy witnesses, and per metric the median and quartiles of each
-side plus how many pairs the change won (direction from BENCHMARK.json).
-Prints one line per run and a final summary line per metric.
+gets every run's metrics, ``correct``, ``failed``, per-kind failure reasons,
+per-kind median task times (``kind_p50_s``) and accuracy witnesses.  Per
+metric, and per kind's median time, it also gets the median and quartiles
+of each side plus how many pairs the change won (direction from
+BENCHMARK.json; a kind's time is better lower).  Prints one line per run
+and a final summary line per metric and per kind.
 """
 
 import json
@@ -33,6 +35,7 @@ def _run(checkout, workload, seed):
             "correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"],
             "failure_reasons": {k: v["reasons"] for k, v in report["per_kind"].items()},
+            "kind_p50_s": {k: v["p50_s"] for k, v in report["per_kind"].items()},
             "witnesses": report["witnesses"]}
 
 
@@ -70,11 +73,20 @@ def main(argv):
         print(f"{name:14s} parent {summary[name]['parent']['median']:.4g} "
               f"(IQR {summary[name]['parent']['iqr']:.3g})  change "
               f"{summary[name]['change']['median']:.4g}  change wins {wins}/{pairs}")
+    kinds = {}
+    for kind in runs["parent"][0]["kind_p50_s"]:
+        a = [r["kind_p50_s"][kind] for r in runs["parent"]]
+        b = [r["kind_p50_s"][kind] for r in runs["change"]]
+        kinds[kind] = {"parent": _stats(a), "change": _stats(b),
+                       "change_wins": sum(y < x for x, y in zip(a, b)), "pairs": pairs}
+        print(f"p50 {kind:22s} parent {kinds[kind]['parent']['median']:.4g} s  change "
+              f"{kinds[kind]['change']['median']:.4g} s  change wins "
+              f"{kinds[kind]['change_wins']}/{pairs}")
     result = {"workload": workload, "seed": seed, "pairs": pairs,
               "command": "python3 perfbench/run.py --seconds 30 --trace 0",
               "host": {"platform": platform.platform(), "python": platform.python_version(),
                        "cpus": os.cpu_count()},
-              "runs": runs, "summary": summary}
+              "runs": runs, "summary": summary, "kind_p50_s": kinds}
     with open(out, "w") as fh:
         json.dump(result, fh, indent=1)
     return 0

@@ -15,7 +15,12 @@ beyond the interaction region.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import functools
 import math
+import os
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -39,6 +44,9 @@ _EDGE_SHIFT = 1e-6          # fractional inset for sampling V inside a step
 _DELTA_SNAP = 1e-9
 _RANK_TOL = 1e-8            # smallest/largest singular value for degeneracy
 _THRESHOLD_GUARD = 1e-9
+# M * N^2 from which step matrices are built in parts: on a 2-core Xeon a
+# two-part build broke even near 1.2e4 for N = 2 and 3 and 2e4 for N = 1
+_SPLIT_WORK = 16384
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,61 @@ def build_grid(x0: float, x1: float, step: float, knots=()) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_PARTS = min(_cpus(), 4)    # the calling thread plus at most 3 workers
+_pool = None                # created on the first split
+_pool_lock = threading.Lock()
+
+
+def _step_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                _PARTS - 1, thread_name_prefix="mcdesign-steps")
+        return _pool
+
+
+def _reset_pool():
+    # a forked child inherits the executor object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _in_parts(kernel, m: int, work: int):
+    """Run ``kernel(lo, hi)`` over the node range [0, m).
+
+    Below ``_SPLIT_WORK`` (and on one CPU) the range is one part on the
+    calling thread.  Above it the range is cut into ``_PARTS`` contiguous
+    parts: the calling thread runs the first and the pool the others, each
+    under a copy of the caller's context, so numpy's error state (a context
+    variable) applies in every part.  Every part is waited for before the
+    first error in range order is raised.
+    """
+    if _PARTS < 2 or work < _SPLIT_WORK:
+        kernel(0, m)
+        return
+    pool = _step_pool()
+    cuts = [m * i // _PARTS for i in range(_PARTS + 1)]
+    futures = [pool.submit(contextvars.copy_context().run, kernel, lo, hi)
+               for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        kernel(cuts[0], cuts[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for fut in futures:
+        fut.result()
+
+
 class PropagatorFactory:
     """Precomputes potential samples on a path so per-energy work is small.
 
@@ -84,7 +147,9 @@ class PropagatorFactory:
     decreasing); ``grid`` is the same nodes in increasing order.
     ``propagators(E)`` returns the (M, 2N, 2N) array of one-step transfer
     matrices, with delta jumps folded in at the nodes they occupy.  Stored
-    derivatives at a delta node are always the left limit.
+    derivatives at a delta node are always the left limit.  Each step
+    matrix depends on its own node only, so large builds run in node-range
+    parts on a small thread pool and equal the serial build bit for bit.
     """
 
     def __init__(self, system: ChannelSystem, xs: np.ndarray):
@@ -103,6 +168,13 @@ class PropagatorFactory:
         self._b1 = pot.matrix_batch(x_lo) + eps
         self._bm = pot.matrix_batch(x_mid) + eps
         self._b4 = pot.matrix_batch(x_hi) + eps
+        # energy-independent step-size factors of the four blocks
+        h = self.h[:, None, None]
+        self._h2_6 = h * h / 6.0
+        self._h4_24 = h ** 4 / 24.0
+        self._h3_6 = h ** 3 / 6.0
+        self._h_6 = h / 6.0
+        self._h3_12 = h ** 3 / 12.0
         self._jumps = self._locate_jumps(system)
 
     def _locate_jumps(self, system: ChannelSystem):
@@ -120,22 +192,13 @@ class PropagatorFactory:
         return jumps
 
     def propagators(self, energy: float) -> np.ndarray:
-        h = self.h[:, None, None]
-        eye = np.eye(self.n)
-        a1 = self._b1 - energy * eye
-        if a1.dtype.kind == "c":
-            raise ConfigurationError(f"energy must be real, got {energy!r}")
-        am = self._bm - energy * eye
-        a4 = self._b4 - energy * eye
-        am_a1 = am @ a1
-        a4_am = a4 @ am
-        m = len(self.h)
         n = self.n
+        shift = energy * np.eye(n)
+        if shift.dtype.kind == "c":
+            raise ConfigurationError(f"energy must be real, got {energy!r}")
+        m = len(self.h)
         p = np.empty((m, 2 * n, 2 * n))
-        p[:, :n, :n] = eye + (h * h / 6.0) * (a1 + 2.0 * am) + (h ** 4 / 24.0) * am_a1
-        p[:, :n, n:] = h * eye + (h ** 3 / 6.0) * am
-        p[:, n:, :n] = (h / 6.0) * (a1 + 4.0 * am + a4) + (h ** 3 / 12.0) * (am_a1 + a4_am)
-        p[:, n:, n:] = eye + (h * h / 6.0) * (2.0 * am + a4) + (h ** 4 / 24.0) * a4_am
+        _in_parts(functools.partial(self._steps, shift, p), m, m * n * n)
         for idx, strength in self._jumps:
             jump = np.eye(2 * n)
             if self.forward:
@@ -147,6 +210,23 @@ class PropagatorFactory:
                     jump[n:, :n] = -strength
                     p[idx - 1] = jump @ p[idx - 1]
         return p
+
+    def _steps(self, shift: np.ndarray, p: np.ndarray, lo: int, hi: int):
+        """Step matrices of steps [lo, hi) into ``p[lo:hi]``; ``shift`` is E I."""
+        n = self.n
+        eye = np.eye(n)
+        a1 = self._b1[lo:hi] - shift
+        am = self._bm[lo:hi] - shift
+        a4 = self._b4[lo:hi] - shift
+        am_a1 = am @ a1
+        a4_am = a4 @ am
+        h = self.h[lo:hi, None, None]
+        h2_6, h4_24 = self._h2_6[lo:hi], self._h4_24[lo:hi]
+        p[lo:hi, :n, :n] = eye + h2_6 * (a1 + 2.0 * am) + h4_24 * am_a1
+        p[lo:hi, :n, n:] = h * eye + self._h3_6[lo:hi] * am
+        p[lo:hi, n:, :n] = (self._h_6[lo:hi] * (a1 + 4.0 * am + a4)
+                            + self._h3_12[lo:hi] * (am_a1 + a4_am))
+        p[lo:hi, n:, n:] = eye + h2_6 * (2.0 * am + a4) + h4_24 * a4_am
 
     def transfer(self, energy: float) -> np.ndarray:
         """Transfer matrix across the whole path, first node to last."""
@@ -383,10 +463,28 @@ def solution_residual(system: ChannelSystem, sol: MatrixSolution, stride: int = 
 # bound states
 
 
-class _HalfLineMatcher:
+class _Matcher:
+    """A matcher lives for one ``find_bound_states`` call.  The scan, the
+    bisection and dip searches, the confirmation, the rank test and the
+    reconstruction revisit energies; ``matrix(E)`` evaluates each energy's
+    matching matrix once per matcher."""
+
     def __init__(self, system: ChannelSystem, cfg: SolverConfig):
         self.system = system
         self.cfg = cfg
+        self._memo = {}
+
+    def matrix(self, energy: float):
+        key = float(energy)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self.matching_matrix(energy)
+        return out
+
+
+class _HalfLineMatcher(_Matcher):
+    def __init__(self, system: ChannelSystem, cfg: SolverConfig):
+        super().__init__(system, cfg)
         self.x_m = _match_point(system, cfg, _BOUND_TAIL_TOL, "right")
         self.fac = segment(system, 0.0, self.x_m, cfg)
         self.xs = self.fac.xs
@@ -432,7 +530,7 @@ class _HalfLineMatcher:
                   self._classical_turning(energy) + 12.0 / max(float(np.min(kappa)), 1e-6))
         i_c = int(np.searchsorted(self.xs, x_c))
         if i_c >= len(self.xs) - 2:
-            m, scale = self.matching_matrix(energy)
+            m, scale = self.matrix(energy)
             _, _, vt = np.linalg.svd(m)
             traj = self.fac.trajectory(energy, self.y0)
             out = []
@@ -468,10 +566,9 @@ class _HalfLineMatcher:
         return out
 
 
-class _WholeLineMatcher:
+class _WholeLineMatcher(_Matcher):
     def __init__(self, system: ChannelSystem, cfg: SolverConfig):
-        self.system = system
-        self.cfg = cfg
+        super().__init__(system, cfg)
         self.x_l = _match_point(system, cfg, _BOUND_TAIL_TOL, "left")
         self.x_r = _match_point(system, cfg, _BOUND_TAIL_TOL, "right")
         self.x_c = 0.5 * (self.x_l + self.x_r)
@@ -503,7 +600,7 @@ class _WholeLineMatcher:
     def raw_states(self, energy: float, rank_def: int):
         n = self.system.n_channels
         y_left, y_right, kappa = self._edge_data(energy)
-        m, scale = self.matching_matrix(energy)
+        m, scale = self.matrix(energy)
         _, _, vt = np.linalg.svd(m)
         traj_l = self.fac_left.trajectory(energy, y_left)
         traj_r = self.fac_right.trajectory(energy, y_right)
@@ -527,16 +624,16 @@ def _scan_roots(matcher, window, cfg: SolverConfig):
     dets = np.empty_like(energies)
     sigma = np.empty_like(energies)
     for i, e in enumerate(energies):
-        m, _ = matcher.matching_matrix(e)
+        m, _ = matcher.matrix(e)
         dets[i] = np.linalg.det(m)
         s = np.linalg.svd(m, compute_uv=False)
         sigma[i] = s[-1] / s[0]
 
     def det_at(e):
-        return float(np.linalg.det(matcher.matching_matrix(e)[0]))
+        return float(np.linalg.det(matcher.matrix(e)[0]))
 
     def sigma_at(e):
-        s = np.linalg.svd(matcher.matching_matrix(e)[0], compute_uv=False)
+        s = np.linalg.svd(matcher.matrix(e)[0], compute_uv=False)
         return float(s[-1] / s[0])
 
     roots = []
@@ -587,14 +684,16 @@ def find_bound_states(system: ChannelSystem, window, cfg: SolverConfig = SolverC
     make = _HalfLineMatcher if system.domain_kind == "half_line" else _WholeLineMatcher
     matcher = make(system, cfg)
     confirm = _confirmation_matcher(system, cfg, make)
-    states = []
+    states, full = [], None
     for energy in _scan_roots(matcher, (e_lo, e_hi), cfg):
         if confirm is not None and not _confirm_root(confirm, energy):
             continue
-        m, _ = matcher.matching_matrix(energy)
+        m, _ = matcher.matrix(energy)
         s = np.linalg.svd(m, compute_uv=False)
         rank_def = max(1, int(np.sum(s < _RANK_TOL * s[0])))
-        group = [_raw_state(system, energy, raw, cfg)
+        if full is None:
+            full = system_grid(system, cfg)
+        group = [_raw_state(system, energy, raw, full)
                  for raw in matcher.raw_states(energy, rank_def)]
         states.extend(_orthonormalize(group))
     states.sort(key=lambda st: st.energy)
@@ -621,13 +720,13 @@ def _confirmation_matcher(system, cfg, make):
 def _confirm_root(matcher, energy, window=1e-6, dip_window=1e-2):
     lo = energy - window * (1.0 + abs(energy))
     hi = energy + window * (1.0 + abs(energy))
-    d_lo = float(np.linalg.det(matcher.matching_matrix(lo)[0]))
-    d_hi = float(np.linalg.det(matcher.matching_matrix(hi)[0]))
+    d_lo = float(np.linalg.det(matcher.matrix(lo)[0]))
+    d_hi = float(np.linalg.det(matcher.matrix(hi)[0]))
     if d_lo * d_hi < 0:
         return True
 
     def smin(e):
-        s = np.linalg.svd(matcher.matching_matrix(e)[0], compute_uv=False)
+        s = np.linalg.svd(matcher.matrix(e)[0], compute_uv=False)
         return float(s[-1] / s[0])
 
     # even-order roots: require a localized dip, not just a small sigma (the
@@ -637,10 +736,10 @@ def _confirm_root(matcher, energy, window=1e-6, dip_window=1e-2):
     return smin(energy) < 1e-3 * ref
 
 
-def _raw_state(system, energy, raw, cfg):
+def _raw_state(system, energy, raw, full):
+    """A raw state on the system grid ``full``, analytic tails beyond ``xs``."""
     xs, vals, ders, dec_r, dec_l = raw
     kappa = np.sqrt(system.effective_thresholds() - energy)
-    full = system_grid(system, cfg)
     i_lo = int(np.searchsorted(full, xs[0] - 1e-12))
     i_hi = i_lo + len(xs)
     if i_hi > len(full) or not np.allclose(full[i_lo:i_hi], xs, rtol=0.0, atol=1e-12):

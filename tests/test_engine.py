@@ -1,5 +1,9 @@
 import gc
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -389,3 +393,151 @@ def test_complex_energy_is_rejected_by_the_step_matrices():
     fac = engine.PropagatorFactory(system, np.linspace(0.0, 1.0, 11))
     with pytest.raises(ConfigurationError):
         fac.propagators(1.2 - 0.02j)
+
+
+def _mixed_factory(n, forward):
+    # coupled pieces, a delta on a node, and thresholds that split the channels
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    b = rng.normal(size=(n, n))
+    pot = PiecewiseConstant(n, pieces=[(-1.0, 0.3, a + a.T), (0.3, 2.0, b + b.T)],
+                            deltas=[DeltaTerm(0.7, 0.5 * np.eye(n))])
+    system = ChannelSystem(tuple(0.5 * i for i in range(n)), pot, "whole_line", 5.0)
+    xs = engine.build_grid(-2.0, 2.5, 2e-3, [-1.0, 0.3, 0.7, 2.0])
+    return engine.PropagatorFactory(system, xs if forward else xs[::-1])
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_matrices_built_in_parts_equal_the_serial_build(monkeypatch, n, forward, parts):
+    fac = _mixed_factory(n, forward)
+    assert fac._jumps
+    monkeypatch.setattr(engine, "_pool", None)
+    for e in (-3.7, 0.0, 0.37, 12.5):
+        monkeypatch.setattr(engine, "_SPLIT_WORK", 10 ** 12)
+        serial = fac.propagators(e)
+        monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
+        monkeypatch.setattr(engine, "_PARTS", parts)
+        split = fac.propagators(e)
+        assert np.array_equal(_bits(split), _bits(serial))
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_overflowing_steps_raise_in_whichever_part_overflows(monkeypatch, where):
+    # V ~ 1e200 squares past the float range in the products of the step
+    piece = (0.0, 0.2) if where == "first" else (1.8, 2.0)
+    pot = PiecewiseConstant(1, pieces=[(*piece, [[1e200]])])
+    system = ChannelSystem((0.0,), pot, "half_line", 5.0)
+    fac = engine.PropagatorFactory(system, np.linspace(0.0, 2.0, 2001))
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
+    monkeypatch.setattr(engine, "_PARTS", 2)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            fac.propagators(0.5)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(fac.propagators(0.5)))
+
+
+def _propagators_in_child(conn, fac, energy):
+    conn.send(fac.propagators(energy))
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_builds_its_own_step_matrices(monkeypatch):
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
+    monkeypatch.setattr(engine, "_PARTS", 2)
+    fac = _mixed_factory(2, True)
+    want = fac.propagators(0.37)          # the parent's pool now has a worker
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_propagators_in_child, args=(send, fac, 0.37))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child did not finish its step matrices"
+        got = recv.recv()
+        child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_concurrent_callers_share_the_pool_safely(monkeypatch):
+    # more calling threads than cores, each splitting its own builds, with
+    # frequent thread switches; every build must equal the serial one
+    monkeypatch.setattr(engine, "_pool", None)
+    fac = _mixed_factory(2, False)
+    monkeypatch.setattr(engine, "_SPLIT_WORK", 10 ** 12)
+    energies = [-3.7, -1.0, 0.37, 2.5, 12.5]
+    want = [fac.propagators(e) for e in energies]
+    monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
+    monkeypatch.setattr(engine, "_PARTS", 3)
+    bad = []
+
+    def caller(k):
+        for i in range(10):
+            j = (i + k) % len(energies)
+            if not np.array_equal(_bits(fac.propagators(energies[j])), _bits(want[j])):
+                bad.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert bad == []
+
+
+class _NoPool:
+    def submit(self, *args):
+        raise AssertionError("a part was handed to the pool")
+
+
+def test_complex_energy_is_rejected_before_any_part_starts(monkeypatch):
+    monkeypatch.setattr(engine, "_pool", _NoPool())
+    monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
+    monkeypatch.setattr(engine, "_PARTS", 2)
+    before = set(threading.enumerate())
+    fac = _mixed_factory(2, True)
+    with pytest.raises(ConfigurationError):
+        fac.propagators(1.2 - 0.02j)
+    assert set(threading.enumerate()) <= before
+
+
+def test_a_level_search_evaluates_each_energy_once(monkeypatch):
+    seen, grids = [], []
+    orig = engine._WholeLineMatcher.matching_matrix
+    grid = engine.system_grid
+
+    def matching_matrix(self, energy):
+        seen.append((id(self), float(energy)))
+        return orig(self, energy)
+
+    def system_grid(*args):
+        grids.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(engine._WholeLineMatcher, "matching_matrix", matching_matrix)
+    monkeypatch.setattr(engine, "system_grid", system_grid)
+    pot = PiecewiseConstant(2, pieces=[(-1.5, 1.5, [[-6.0, 0.4], [0.4, -5.0]])])
+    system = ChannelSystem((0.0, 0.5), pot, "whole_line", 20.0)
+    states = engine.find_bound_states(system, (-5.9, -0.05), SolverConfig(bracket_step=0.05))
+    assert len(states) >= 3
+    assert len(seen) == len(set(seen))
+    assert len(grids) == 1
